@@ -61,7 +61,7 @@ static void BM_TokenStoreScan(benchmark::State& state) {
   // pool (packed key + ready arrays) for consumable instruction tokens of
   // one place. arg: pool population.
   const unsigned n = static_cast<unsigned>(state.range(0));
-  core::TokenStore store;
+  core::TokenStore store(n);
   std::vector<core::InstructionToken> tokens(n);
   for (unsigned i = 0; i < n; ++i) {
     tokens[i].place = static_cast<core::PlaceId>(i % 4);  // 4 places share the stage
@@ -91,7 +91,7 @@ static void BM_TokenStoreRemove(benchmark::State& state) {
   // front-to-back, the scan order of Process(place).
   const unsigned n = static_cast<unsigned>(state.range(0));
   const bool hinted = state.range(1) == 1;
-  core::TokenStore store;
+  core::TokenStore store(n);
   std::vector<core::InstructionToken> tokens(n);
   for (unsigned i = 0; i < n; ++i) {
     tokens[i].place = core::PlaceId{1};

@@ -279,6 +279,59 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
   return w.take();
 }
 
+namespace {
+
+// A token record's stage, place and (instruction) type are validated against
+// the live net before the token touches the engine: a corrupt or hand-edited
+// snapshot must fail with a line-numbered CkptError, never index past a table
+// or push a stage over its capacity.
+
+core::StageId checked_token_stage(const StateReader& r, const core::Net& net) {
+  const std::int64_t raw = r.get_i64("stage");
+  if (raw < 0 || raw >= static_cast<std::int64_t>(net.num_stages()))
+    r.fail("token stage " + std::to_string(raw) + " is out of range (model '" +
+           net.name() + "' has " + std::to_string(net.num_stages()) + " stages)");
+  const auto stage = static_cast<core::StageId>(raw);
+  const core::PipelineStage& st = net.stage(stage);
+  if (st.is_end())
+    r.fail("token recorded in stage '" + st.name() +
+           "', the end stage, which never holds tokens");
+  if (!st.has_room(1))
+    r.fail("stage '" + st.name() + "' is already full (capacity " +
+           std::to_string(st.capacity()) + "): surplus or duplicated token record");
+  return stage;
+}
+
+core::PlaceId checked_token_place(const StateReader& r, const core::Net& net,
+                                  core::StageId stage) {
+  const std::int64_t raw = r.get_i64("place");
+  const std::string& stage_name = net.stage(stage).name();
+  if (raw < 0 || raw >= static_cast<std::int64_t>(net.num_places()))
+    r.fail("token place " + std::to_string(raw) + " in stage '" + stage_name +
+           "' is out of range (model '" + net.name() + "' has " +
+           std::to_string(net.num_places()) + " places)");
+  const auto place = static_cast<core::PlaceId>(raw);
+  const core::Place& pl = net.place(place);
+  if (pl.stage != stage)
+    r.fail("token place '" + pl.name + "' belongs to stage '" +
+           net.stage(pl.stage).name() + "', not to the recorded stage '" + stage_name +
+           "'");
+  return place;
+}
+
+/// Instruction tokens index the Fig 6 candidate table by their type.
+core::TypeId checked_instruction_type(const StateReader& r, const core::Net& net,
+                                      core::StageId stage) {
+  const std::int64_t raw = r.get_i64("type");
+  if (raw < 0 || raw >= static_cast<std::int64_t>(net.num_types()))
+    r.fail("instruction token type " + std::to_string(raw) + " in stage '" +
+           net.stage(stage).name() + "' is out of range (model '" + net.name() +
+           "' has " + std::to_string(net.num_types()) + " types)");
+  return static_cast<core::TypeId>(raw);
+}
+
+}  // namespace
+
 void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
                       std::vector<TraceEvent>& trace_out) {
   StateReader r(text);
@@ -339,14 +392,15 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   std::vector<PendingTag> pending;
   for (std::uint64_t k = 0; k < ntok; ++k) {
     r.next("token");
-    const auto stage = static_cast<core::StageId>(r.get_i64("stage"));
+    const core::StageId stage = checked_token_stage(r, net);
+    const core::PlaceId place = checked_token_place(r, net, stage);
     const bool incoming = r.get_bool("incoming");
     const bool is_instr = r.get_bool("kind");
     if (!is_instr) {
       core::Token* t = eng.ckpt_acquire_reservation();
       t->kind = core::TokenKind::reservation;
       t->type = static_cast<core::TypeId>(r.get_i64("type"));
-      t->place = static_cast<core::PlaceId>(r.get_i64("place"));
+      t->place = place;
       t->ready = r.get_u64("ready");
       t->next_delay = static_cast<std::uint32_t>(r.get_u64("delay"));
       eng.ckpt_insert_token(t, stage, incoming);
@@ -356,8 +410,8 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
     const auto raw = static_cast<std::uint32_t>(r.get_u64("raw"));
     core::InstructionToken* it = io.materialize(pc, raw);
     if (it == nullptr) it = eng.acquire_pooled_instruction();
-    it->type = static_cast<core::TypeId>(r.get_i64("type"));
-    it->place = static_cast<core::PlaceId>(r.get_i64("place"));
+    it->type = checked_instruction_type(r, net, stage);
+    it->place = place;
     it->ready = r.get_u64("ready");
     it->next_delay = static_cast<std::uint32_t>(r.get_u64("delay"));
     it->pc = pc;

@@ -270,17 +270,6 @@ void Engine::reserve_token_pools(std::size_t instructions, std::size_t reservati
   res_free_.reserve(reservations);
 }
 
-void Engine::recycle(Token* t) {
-  if (t->kind == TokenKind::reservation) {
-    t->place = kNoPlace;
-    res_free_.push_back(t);
-  } else {
-    auto* it = static_cast<InstructionToken*>(t);
-    it->in_flight = false;
-    if (it->pool_owned) instr_free_.push_back(it);
-  }
-}
-
 void Engine::emit_instruction(InstructionToken* t, PlaceId p) {
   if (!built_) build();
   t->in_flight = true;
@@ -309,54 +298,6 @@ unsigned Engine::tokens_in_place(PlaceId p) const {
   const TokenStore& ts = place_stage_[static_cast<unsigned>(p)]->store();
   const TokenStore::Key want = TokenStore::key(p, TokenKind::instruction);
   return soa::count_matches(ts.keys(), ts.size(), want);
-}
-
-void Engine::enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
-  enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)], transition_delay);
-}
-
-void Engine::enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
-                            std::uint32_t transition_delay) {
-  if (st.is_end()) {
-    if (tok->kind == TokenKind::instruction) {
-      retire(static_cast<InstructionToken*>(tok));
-    } else {
-      recycle(tok);
-    }
-    return;
-  }
-  const std::uint32_t residence =
-      (tok->next_delay != 0 ? tok->next_delay
-                            : place_delay_[static_cast<unsigned>(p)]) +
-      transition_delay;
-  tok->next_delay = 0;
-  tok->place = p;
-  tok->ready = clock_ + residence;
-  if (tok->kind == TokenKind::instruction) {
-    auto* it = static_cast<InstructionToken*>(tok);
-    // Visible state lags insertion for two-list stages (promoted next cycle).
-    it->state = st.two_list() ? kNoPlace : p;
-  }
-#if RCPN_OBS
-  if (options_.obs != nullptr && tok->kind == TokenKind::instruction) {
-    auto* it = static_cast<InstructionToken*>(tok);
-    options_.obs->on_token_enter(clock_, p, it->seq, it->pc);
-  }
-#endif
-  st.insert(tok);
-}
-
-void Engine::retire(InstructionToken* tok) {
-#if RCPN_OBS
-  if (options_.obs != nullptr) options_.obs->on_retire(clock_, tok->seq, tok->pc);
-#endif
-  ++stats_.retired;
-  assert(in_flight_ > 0);
-  --in_flight_;
-  tok->place = kNoPlace;
-  tok->state = kNoPlace;
-  if (hooks_.on_retire) hooks_.on_retire(tok);
-  recycle(tok);
 }
 
 void Engine::squash_token(Token* t) {

@@ -2,23 +2,38 @@
 // reservation stations, ...). Every place is assigned to a stage; places with
 // the same stage share its capacity, and the tokens of a place are physically
 // stored in its stage (paper §3, "Places"). Storage is a TokenStore: an
-// age-ordered SoA pool both backends operate on, so their token semantics are
-// identical by construction.
+// age-ordered SoA pool every backend operates on, so their token semantics are
+// identical by construction. The store is born with exactly `capacity` slots
+// per lane and never grows.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/token.hpp"
 #include "core/token_store.hpp"
 
 namespace rcpn::core {
 
+/// An insert into a stage that already holds `capacity` tokens. The engine's
+/// has_room checks make this unreachable for a well-formed model, so it means
+/// a model bug (an action emitting without checking place_has_room) or a
+/// corrupt checkpoint. Names the stage and its capacity.
+class StageOverflowError : public std::runtime_error {
+ public:
+  StageOverflowError(const std::string& stage, std::uint32_t capacity);
+};
+
 class PipelineStage {
  public:
   PipelineStage(std::string name, StageId id, std::uint32_t capacity, bool is_end)
-      : name_(std::move(name)), id_(id), capacity_(capacity), is_end_(is_end) {}
+      : name_(std::move(name)),
+        id_(id),
+        capacity_(capacity),
+        is_end_(is_end),
+        store_(capacity) {}
 
   const std::string& name() const { return name_; }
   StageId id() const { return id_; }
@@ -54,17 +69,18 @@ class PipelineStage {
     return occupancy() - removals + additions <= capacity_;
   }
 
-  const std::vector<Token*>& tokens() const { return store_.ptrs(); }
-  const std::vector<Token*>& incoming() const { return store_.incoming_ptrs(); }
+  std::span<Token* const> tokens() const { return store_.ptrs(); }
+  std::span<Token* const> incoming() const { return store_.incoming_ptrs(); }
 
   /// The SoA token pool itself (filter-field scans without token derefs).
   /// Read-only: all mutation goes through the stage so the two-list routing
   /// and occupancy invariants hold.
   const TokenStore& store() const { return store_; }
-  /// Pre-size the pool (gen:: lowering); the one sizing hook lowering needs.
-  void reserve_store(std::size_t n) { store_.reserve(n); }
 
+  /// Throws StageOverflowError when the stage is already full.
   void insert(Token* t) {
+    if (occupancy() >= capacity_) [[unlikely]]
+      overflow();
     if (two_list_) {
       store_.insert_incoming(t);
     } else {
@@ -77,6 +93,8 @@ class PipelineStage {
   /// cycle boundary may hold not-yet-promoted tokens, and restore must
   /// reproduce both lists verbatim, not re-route.
   void insert_restored(Token* t, bool incoming) {
+    if (occupancy() >= capacity_) [[unlikely]]
+      overflow();
     if (incoming) {
       store_.insert_incoming(t);
     } else {
@@ -103,6 +121,8 @@ class PipelineStage {
   }
 
  private:
+  [[noreturn]] void overflow() const;
+
   std::string name_;
   StageId id_;
   std::uint32_t capacity_;

@@ -16,10 +16,8 @@ using core::Token;
 void CompiledEngine::build() {
   core::Engine::build();
   cm_ = CompiledModel::lower(*this);
-  // Apply the lowering's pool sizing: per-stage SoA slots and recycling
-  // arenas, so the generated simulator's steady state never reallocates.
-  for (unsigned s = 0; s < cm_.num_stages; ++s)
-    net_.stage(static_cast<StageId>(s)).reserve_store(cm_.stage_reserve[s]);
+  // Pre-size the recycling arenas (the per-stage SoA slots are born at
+  // capacity), so the steady state never allocates.
   reserve_token_pools(cm_.instr_pool_hint, cm_.res_pool_hint);
   scratch_.reserve(cm_.instr_pool_hint);
   scratch_idx_.reserve(cm_.instr_pool_hint);

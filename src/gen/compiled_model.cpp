@@ -93,18 +93,11 @@ CompiledModel CompiledModel::lower(core::Engine& eng) {
     cm.place_delay[p] = net.place(static_cast<core::PlaceId>(p)).delay;
   }
 
-  // Token-pool sizing. A bounded stage can never hold more slots than its
-  // capacity (has_room gates every entry); unlimited stages get one batch.
-  // The arena hints cover the theoretical in-flight maximum: every bounded
-  // slot occupied at once, by either kind of token.
-  constexpr std::uint32_t kUnlimitedBatch = 64;
+  // Arena hints: the theoretical in-flight maximum, every bounded slot
+  // occupied at once by either kind of token.
   std::uint64_t bounded_slots = 0;
-  cm.stage_reserve.resize(cm.num_stages);
-  for (unsigned s = 0; s < cm.num_stages; ++s) {
-    const core::PipelineStage& st = net.stage(static_cast<core::StageId>(s));
-    cm.stage_reserve[s] = st.unlimited() ? kUnlimitedBatch : st.capacity();
-    if (!st.unlimited()) bounded_slots += st.capacity();
-  }
+  for (unsigned s = 0; s < cm.num_stages; ++s)
+    bounded_slots += net.stage(static_cast<core::StageId>(s)).capacity();
   constexpr std::uint64_t kPoolCap = 4096;
   cm.instr_pool_hint = static_cast<std::uint32_t>(std::min(bounded_slots, kPoolCap));
   cm.res_pool_hint = static_cast<std::uint32_t>(std::min(bounded_slots, kPoolCap));

@@ -115,11 +115,9 @@ struct CompiledModel {
   std::vector<core::StageId> place_stage;
   std::vector<std::uint32_t> place_delay;
 
-  /// Token-pool sizing, applied by CompiledEngine::build(): per-stage SoA
-  /// reservation (stage capacity; the end stage and other unlimited stages
-  /// get a fixed batch) and arena pre-allocation hints, so the generated
-  /// simulator's steady state never grows a vector.
-  std::vector<std::uint32_t> stage_reserve;
+  /// Token-arena pre-allocation hints, applied by CompiledEngine::build(), so
+  /// the steady state never allocates a token (the per-stage SoA slots need
+  /// no sizing: every store is born at its stage's capacity).
   std::uint32_t instr_pool_hint = 0;
   std::uint32_t res_pool_hint = 0;
 

@@ -67,12 +67,8 @@ std::string emit_cpp(const CompiledModel& cm, const core::Net& net) {
     appendf(out, "%s%u", p ? ", " : "", cm.place_delay[p]);
   out += "};\n\n";
 
-  // Token-pool sizing (SoA slots per stage + arena hints).
-  out += "// token pools: SoA slots reserved per stage; arena pre-allocation\n";
-  out += "constexpr std::uint32_t kStageReserve[kNumStages] = {";
-  for (unsigned s = 0; s < cm.num_stages; ++s)
-    appendf(out, "%s%u", s ? ", " : "", cm.stage_reserve[s]);
-  out += "};\n";
+  // Token-arena sizing (per-stage SoA slots are fixed by stage capacity).
+  out += "// token arenas: pre-allocation hints\n";
   appendf(out, "constexpr std::uint32_t kInstrPoolHint = %u;\n", cm.instr_pool_hint);
   appendf(out, "constexpr std::uint32_t kResPoolHint = %u;\n\n", cm.res_pool_hint);
 

@@ -282,12 +282,8 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
     appendf(out, "%s%u", p ? ", " : "", cm.place_delay[p]);
   out += "};\n\n";
 
-  // Token-pool sizing.
-  out += "  // token pools: SoA slots reserved per stage; arena pre-allocation\n";
-  out += "  static constexpr std::uint32_t kStageReserve[kNumStages] = {";
-  for (unsigned s = 0; s < cm.num_stages; ++s)
-    appendf(out, "%s%u", s ? ", " : "", cm.stage_reserve[s]);
-  out += "};\n";
+  // Token-arena sizing (per-stage SoA slots are fixed by stage capacity).
+  out += "  // token arenas: pre-allocation hints\n";
   appendf(out, "  static constexpr std::uint32_t kInstrPoolHint = %u;\n",
           cm.instr_pool_hint);
   appendf(out, "  static constexpr std::uint32_t kResPoolHint = %u;\n\n",

@@ -69,12 +69,10 @@ class StaticEngine final : public core::Engine {
       : core::Engine(net, options) {}
 
   /// Shared static extraction, then verify the generated tables against it
-  /// (throws std::runtime_error on a stale artifact) and apply pool sizing.
+  /// (throws std::runtime_error on a stale artifact) and pre-size the arenas.
   void build() override {
     core::Engine::build();
     verify_tables();
-    for (unsigned s = 0; s < Traits::kNumStages; ++s)
-      net_.stage(static_cast<core::StageId>(s)).reserve_store(Traits::kStageReserve[s]);
     reserve_token_pools(Traits::kInstrPoolHint, Traits::kResPoolHint);
     scratch_.reserve(Traits::kInstrPoolHint);
     scratch_idx_.reserve(Traits::kInstrPoolHint);

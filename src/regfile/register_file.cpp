@@ -1,7 +1,5 @@
 #include "regfile/register_file.hpp"
 
-#include <algorithm>
-
 namespace rcpn::regfile {
 
 RegisterFile::RegisterFile(unsigned num_cells, WritePolicy policy)
@@ -17,31 +15,6 @@ void RegisterFile::add_identity_registers(unsigned n, const std::string& prefix)
   assert(n <= cells_.size());
   for (unsigned i = 0; i < n; ++i)
     add_register(prefix + std::to_string(i), static_cast<CellId>(i));
-}
-
-RegRef* RegisterFile::last_writer(CellId c) const {
-  const Cell& cell = cells_[c];
-  return cell.num_writers == 0 ? nullptr : cell.writers[cell.num_writers - 1];
-}
-
-void RegisterFile::push_writer(CellId c, RegRef* w) {
-  Cell& cell = cells_[c];
-  assert(cell.num_writers < kMaxWriters && "writer stack overflow");
-  cell.writers[cell.num_writers++] = w;
-}
-
-void RegisterFile::remove_writer(CellId c, RegRef* w) {
-  Cell& cell = cells_[c];
-  for (unsigned i = 0; i < cell.num_writers; ++i) {
-    if (cell.writers[i] == w) {
-      // Preserve reservation (age) order of the remaining writers.
-      for (unsigned j = i + 1; j < cell.num_writers; ++j)
-        cell.writers[j - 1] = cell.writers[j];
-      --cell.num_writers;
-      return;
-    }
-  }
-  assert(false && "remove_writer: not a registered writer");
 }
 
 void RegisterFile::clear_writers() {

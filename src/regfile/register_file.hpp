@@ -59,9 +59,28 @@ class RegisterFile {
   unsigned num_writers(CellId c) const { return cells_[c].num_writers; }
   RegRef* writer(CellId c, unsigned i) const { return cells_[c].writers[i]; }
   /// Newest (most recently reserved) writer, or nullptr.
-  RegRef* last_writer(CellId c) const;
-  void push_writer(CellId c, RegRef* w);
-  void remove_writer(CellId c, RegRef* w);
+  RegRef* last_writer(CellId c) const {
+    const Cell& cell = cells_[c];
+    return cell.num_writers == 0 ? nullptr : cell.writers[cell.num_writers - 1];
+  }
+  void push_writer(CellId c, RegRef* w) {
+    Cell& cell = cells_[c];
+    assert(cell.num_writers < kMaxWriters && "writer stack overflow");
+    cell.writers[cell.num_writers++] = w;
+  }
+  void remove_writer(CellId c, RegRef* w) {
+    Cell& cell = cells_[c];
+    for (unsigned i = 0; i < cell.num_writers; ++i) {
+      if (cell.writers[i] == w) {
+        // Preserve reservation (age) order of the remaining writers.
+        for (unsigned j = i + 1; j < cell.num_writers; ++j)
+          cell.writers[j - 1] = cell.writers[j];
+        --cell.num_writers;
+        return;
+      }
+    }
+    assert(false && "remove_writer: not a registered writer");
+  }
   /// Commit sequencing for multi_writer: returns the reservation sequence.
   std::uint32_t next_reserve_seq(CellId c) { return ++cells_[c].reserve_seq; }
   /// Checkpoint support (src/ckpt/): the reservation-sequence counter is

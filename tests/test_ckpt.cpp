@@ -16,7 +16,9 @@
 // Everything else a checkpoint could silently get wrong is pinned as an
 // error path: format-version, machine, model-digest, workload and
 // options-signature mismatches must be rejected with a CkptError naming the
-// offender (desc-style), truncated files must never half-restore, and
+// offender (desc-style), token records naming a bad stage or place, or
+// overflowing a stage, must be rejected before they touch the engine,
+// truncated files must never half-restore, and
 // quiescence-skip runs must be refused at save time (resuming would re-time
 // the quiesced-cycle accounting).
 //
@@ -298,6 +300,47 @@ TEST(CkptErrors, TruncatedSnapshotIsRejectedNotHalfRestored) {
     EXPECT_THROW(machines::read_checkpoint(*s, cut), ckpt::CkptError)
         << "truncated to " << frac;
   }
+}
+
+// Token records are validated against the live net before they touch the
+// engine: a hand-edited stage id or instruction type must not index past its
+// table, a place must belong to the stage it is recorded in, and a surplus
+// record must not push a stage over its capacity. Each is a line-numbered CkptError naming
+// the stage (fig2 at cycle 10 holds one token in each capacity-1 latch:
+// L1 = stage 1, L2 = stage 2).
+TEST(CkptErrors, OutOfRangeTokenStageIsRejected) {
+  const std::string snap = snapshot_of("fig2", 10);
+  expect_rejects("fig2", tamper(snap, "token stage=", "7"), "token stage 7 is out of range");
+  expect_rejects("fig2", tamper(snap, "token stage=", "-1"), "token stage -1 is out of range");
+  expect_rejects("fig2", tamper(snap, "token stage=", "0"), "stage 'end', the end stage");
+  expect_rejects("fig2", tamper(snap, "token stage=", "7"), "checkpoint line ");
+}
+
+TEST(CkptErrors, TokenPlaceOfAnotherStageIsRejected) {
+  const std::string snap = snapshot_of("fig2", 10);
+  ASSERT_NE(snap.find("token stage=1 incoming=0 kind=1 type=1 place=1"), std::string::npos);
+  expect_rejects("fig2", tamper(snap, "place=", "2"),
+                 "token place 'L2' belongs to stage 'L2', not to the recorded stage 'L1'");
+  expect_rejects("fig2", tamper(snap, "place=", "9"), "token place 9 in stage 'L1'");
+}
+
+TEST(CkptErrors, OutOfRangeInstructionTypeIsRejected) {
+  const std::string snap = snapshot_of("fig2", 10);
+  expect_rejects("fig2", tamper(snap, "type=", "5"),
+                 "instruction token type 5 in stage 'L1' is out of range");
+}
+
+TEST(CkptErrors, DuplicatedTokenRecordOverflowingAStageIsRejected) {
+  std::string snap = snapshot_of("fig2", 10);
+  // Duplicate the first token record (with its operand sub-records) and
+  // bump the count, so stage L1 (capacity 1) is restored twice.
+  const std::size_t first = snap.find("\ntoken ") + 1;
+  const std::size_t second = snap.find("\ntoken ", first) + 1;
+  ASSERT_GT(second, first);
+  snap.insert(second, snap.substr(first, second - first));
+  snap = tamper(snap, "tokens n=", "3");
+  expect_rejects("fig2", snap, "stage 'L1' is already full (capacity 1)");
+  expect_rejects("fig2", snap, "checkpoint line ");
 }
 
 // Quiescence skipping re-times the quiesced-cycle accounting across a resume

@@ -527,7 +527,9 @@ TEST(TokenStore, HintedRemovalEquivalentToLinearFindUnderChurn) {
   // garbage must all leave the store byte-identical to plain remove_visible.
   // Two stores churn in lockstep — one removed with deliberately varied
   // hints, one with the linear find — and must agree after every operation.
-  TokenStore hinted, plain;
+  // Each op inserts at most one token, so kOps slots can never overflow.
+  constexpr int kOps = 4000;
+  TokenStore hinted(kOps), plain(kOps);
   std::vector<std::unique_ptr<Token>> owned;
   std::vector<Token*> live_h, live_p;
   std::uint32_t rng = 12345, id = 0;
@@ -543,7 +545,7 @@ TEST(TokenStore, HintedRemovalEquivalentToLinearFindUnderChurn) {
                 TokenStore::key(hinted.at(i)->place, hinted.at(i)->kind));
     }
   };
-  for (int op = 0; op < 4000; ++op) {
+  for (int op = 0; op < kOps; ++op) {
     if (live_h.empty() || next() % 3 != 0) {
       auto th = std::make_unique<Token>();
       auto tp = std::make_unique<Token>();
@@ -577,6 +579,141 @@ TEST(TokenStore, HintedRemovalEquivalentToLinearFindUnderChurn) {
     }
     check_equal();
   }
+}
+
+// -- fixed-slot stores --------------------------------------------------------
+
+/// Token with a distinct (place, ready) so keys()/ready() lanes are checkable.
+InstructionToken make_token(int place, Cycle ready) {
+  InstructionToken t;
+  t.place = static_cast<PlaceId>(place);
+  t.ready = ready;
+  return t;
+}
+
+/// The visible lane in age order, with each slot's key/ready checked against
+/// the token it belongs to (the three arrays must move together).
+std::vector<Token*> visible(const TokenStore& ts) {
+  std::vector<Token*> out;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(ts.keys()[i], TokenStore::key(ts.at(i)->place, ts.at(i)->kind)) << i;
+    EXPECT_EQ(ts.ready()[i], ts.at(i)->ready) << i;
+    out.push_back(ts.at(i));
+  }
+  EXPECT_EQ(out, std::vector<Token*>(ts.ptrs().begin(), ts.ptrs().end()));
+  return out;
+}
+
+TEST(TokenStore, LanesAreBornAtCapacity) {
+  PipelineStage st("EX", StageId{1}, 3, /*is_end=*/false);
+  EXPECT_EQ(st.store().capacity(), 3u);
+  EXPECT_TRUE(st.store().empty());
+  EXPECT_EQ(st.occupancy(), 0u);
+  // The end stage retires tokens on entry: it owns no slots at all.
+  const PipelineStage end("end", StageId{0}, 0, /*is_end=*/true);
+  EXPECT_EQ(end.store().capacity(), 0u);
+
+  // Net keeps its stages in a vector: a moved stage keeps its slots and
+  // contents.
+  InstructionToken a = make_token(1, 4);
+  st.insert(&a);
+  const PipelineStage moved(std::move(st));
+  EXPECT_EQ(moved.store().capacity(), 3u);
+  EXPECT_EQ(visible(moved.store()), std::vector<Token*>{&a});
+}
+
+TEST(PipelineStage, InsertBeyondCapacityThrowsNamedError) {
+  PipelineStage st("ALU", StageId{1}, 2, /*is_end=*/false);
+  InstructionToken a = make_token(1, 0), b = make_token(1, 1), c = make_token(1, 2);
+  st.insert(&a);
+  st.insert(&b);
+  try {
+    st.insert(&c);
+    FAIL() << "insert into a full stage was accepted";
+  } catch (const StageOverflowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'ALU'"), std::string::npos) << what;
+    EXPECT_NE(what.find("capacity of 2"), std::string::npos) << what;
+  }
+  EXPECT_EQ(visible(st.store()), (std::vector<Token*>{&a, &b}));
+
+  // Incoming tokens occupy the latch too: one visible + one incoming fill a
+  // capacity-2 two-list stage, on both the routed and the restore path.
+  PipelineStage tl("L3", StageId{2}, 2, /*is_end=*/false);
+  tl.force_two_list(true);
+  tl.insert_restored(&a, /*incoming=*/false);
+  tl.insert(&b);
+  EXPECT_EQ(tl.store().incoming_size(), 1u);
+  EXPECT_THROW(tl.insert_restored(&c, /*incoming=*/true), StageOverflowError);
+  EXPECT_THROW(tl.insert(&c), StageOverflowError);
+  EXPECT_EQ(tl.occupancy(), 2u);
+}
+
+TEST(TokenStore, EraseKeepsAgeOrderAtHeadMiddleAndTail) {
+  TokenStore ts(5);
+  InstructionToken t[5] = {make_token(0, 10), make_token(1, 11), make_token(2, 12),
+                           make_token(3, 13), make_token(4, 14)};
+  for (InstructionToken& tok : t) ts.insert_visible(&tok);
+  EXPECT_TRUE(ts.remove_visible(&t[0]));  // head
+  EXPECT_EQ(visible(ts), (std::vector<Token*>{&t[1], &t[2], &t[3], &t[4]}));
+  EXPECT_TRUE(ts.remove_visible_at(1, &t[2]));  // middle, exact hint
+  EXPECT_EQ(visible(ts), (std::vector<Token*>{&t[1], &t[3], &t[4]}));
+  EXPECT_TRUE(ts.remove_visible_at(0, &t[4]));  // tail, stale hint
+  EXPECT_EQ(visible(ts), (std::vector<Token*>{&t[1], &t[3]}));
+  EXPECT_FALSE(ts.remove_visible(&t[4]));
+  // Freed slots are reused at the young end.
+  ts.insert_visible(&t[0]);
+  EXPECT_EQ(visible(ts), (std::vector<Token*>{&t[1], &t[3], &t[0]}));
+}
+
+TEST(TokenStore, PromoteAppendsInOrderAndPublishesState) {
+  TokenStore ts(4);
+  InstructionToken a = make_token(1, 0), b = make_token(2, 1), c = make_token(3, 2);
+  Token r;
+  r.place = 2;
+  r.ready = 3;
+  ts.insert_visible(&a);
+  ts.insert_incoming(&b);
+  ts.insert_incoming(&r);
+  ts.insert_incoming(&c);
+  EXPECT_EQ(ts.occupancy(), 4u);
+  EXPECT_EQ(b.state, kNoPlace);
+  ts.promote();
+  EXPECT_EQ(ts.incoming_size(), 0u);
+  EXPECT_EQ(visible(ts), (std::vector<Token*>{&a, &b, &r, &c}));
+  EXPECT_EQ(b.state, PlaceId{2});
+  EXPECT_EQ(c.state, PlaceId{3});
+  EXPECT_EQ(a.state, kNoPlace);  // already visible: untouched by promote
+}
+
+TEST(TokenStore, RemoveAnyFindsIncomingTokens) {
+  TokenStore ts(3);
+  InstructionToken a = make_token(1, 0), b = make_token(1, 1), c = make_token(1, 2);
+  ts.insert_visible(&a);
+  ts.insert_incoming(&b);
+  ts.insert_incoming(&c);
+  EXPECT_TRUE(ts.remove_any(&b));
+  EXPECT_EQ(ts.incoming_size(), 1u);
+  EXPECT_EQ(ts.incoming_ptrs()[0], &c);
+  EXPECT_FALSE(ts.remove_any(&b));
+  EXPECT_TRUE(ts.remove_any(&a));
+  EXPECT_TRUE(ts.empty());
+  EXPECT_EQ(ts.occupancy(), 1u);
+}
+
+TEST(TokenStore, ClearVisitsVisibleThenIncoming) {
+  TokenStore ts(4);
+  InstructionToken a = make_token(1, 0), b = make_token(1, 1), c = make_token(1, 2),
+                   d = make_token(1, 3);
+  ts.insert_incoming(&c);
+  ts.insert_visible(&a);
+  ts.insert_incoming(&d);
+  ts.insert_visible(&b);
+  std::vector<Token*> seen;
+  ts.clear([&](Token* t) { seen.push_back(t); });
+  EXPECT_EQ(seen, (std::vector<Token*>{&a, &b, &c, &d}));
+  EXPECT_EQ(ts.occupancy(), 0u);
+  EXPECT_EQ(ts.capacity(), 4u);
 }
 
 TEST(EngineQuiescence, SkipFastForwardsIdleCyclesWithoutChangingBehaviour) {

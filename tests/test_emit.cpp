@@ -170,7 +170,7 @@ TEST_P(Emitter, EmitsCompleteStandaloneSimulator) {
   EXPECT_NE(e.simulator.find("static constexpr rcpn::gen::StaticTx kBody"),
             std::string::npos);
   EXPECT_NE(e.simulator.find("kProcessOrder"), std::string::npos);
-  EXPECT_NE(e.simulator.find("kStageReserve"), std::string::npos);
+  EXPECT_NE(e.simulator.find("kInstrPoolHint"), std::string::npos);
   EXPECT_NE(e.simulator.find("kHasGuard"), std::string::npos);
 }
 

@@ -157,6 +157,30 @@ TEST_P(FourWay, FreestandingBinaryMatchesInProcess) {
 #endif
 }
 
+// Every backend runs on the stores the stages were born with: a non-end
+// stage's store holds exactly capacity() slots (no backend sizes it a second
+// time), the end stage — which retires tokens on entry — none.
+TEST_P(FourWay, EveryBackendKeepsBornAtCapacityStores) {
+  const std::string key = GetParam();
+  std::vector<core::Backend> backends = {core::Backend::interpreted,
+                                         core::Backend::compiled};
+#ifdef RCPN_HAVE_GENERATED
+  backends.push_back(core::Backend::generated);
+#endif
+  for (const core::Backend b : backends) {
+    auto s = machines::make_golden_session(key, options_for(b));
+    s->advance(8);  // built, with tokens in flight
+    const core::Engine& eng = s->engine();
+    for (unsigned id = 0; id < eng.net().num_stages(); ++id) {
+      const core::PipelineStage& st = eng.net().stage(static_cast<core::StageId>(id));
+      const core::TokenStore& ts = eng.token_store(st.id());
+      EXPECT_EQ(ts.capacity(), st.is_end() ? 0u : st.capacity())
+          << key << " backend " << static_cast<int>(b) << " stage " << st.name();
+      EXPECT_LE(ts.occupancy(), ts.capacity()) << key << " stage " << st.name();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMachines, FourWay,
                          ::testing::Values("fig2", "fig5", "tomasulo", "strongarm_crc",
                                            "xscale_adpcm", "stallcause"),

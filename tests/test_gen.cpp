@@ -244,18 +244,17 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
   const gen::CompiledModel& cm = ce->compiled();
   const core::Net& net = comp.net();
 
-  // SoA pool sizing: bounded stages reserve exactly their capacity (they can
-  // never hold more), unlimited stages a non-zero batch; the arena hints
-  // cover every bounded slot.
-  ASSERT_EQ(cm.stage_reserve.size(), net.num_stages());
+  // SoA pool sizing: every store is born at its stage's capacity (the end
+  // stage, which retires on entry, owns no slots) and lowering leaves it so,
+  // on both in-process backends; the arena hints cover every bounded slot.
+  machines::Fig5Processor interp;
   std::uint64_t bounded = 0;
-  for (unsigned s = 0; s < net.num_stages(); ++s) {
-    const core::PipelineStage& st = net.stage(static_cast<core::StageId>(s));
-    if (st.unlimited()) {
-      EXPECT_GT(cm.stage_reserve[s], 0u) << "stage " << s;
-    } else {
-      EXPECT_EQ(cm.stage_reserve[s], st.capacity()) << "stage " << s;
-      bounded += st.capacity();
+  const core::Net* nets[] = {&net, &interp.net()};
+  for (const core::Net* n : nets) {
+    for (unsigned s = 0; s < n->num_stages(); ++s) {
+      const core::PipelineStage& st = n->stage(static_cast<core::StageId>(s));
+      EXPECT_EQ(st.store().capacity(), st.is_end() ? 0u : st.capacity()) << "stage " << s;
+      if (n == &net) bounded += st.capacity();
     }
   }
   EXPECT_EQ(cm.instr_pool_hint, bounded);
@@ -289,7 +288,6 @@ TEST(Exporters, EmitCppContainsScheduleTables) {
   EXPECT_NE(src.find("kTwoListStages"), std::string::npos);
   EXPECT_NE(src.find("kCell["), std::string::npos);
   EXPECT_NE(src.find("kBody["), std::string::npos);
-  EXPECT_NE(src.find("kStageReserve"), std::string::npos);
   EXPECT_NE(src.find("kInstrPoolHint"), std::string::npos);
   // Names travel along as comments.
   EXPECT_NE(src.find("FD"), std::string::npos);
