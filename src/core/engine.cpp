@@ -176,6 +176,45 @@ void Engine::compute_process_order() {
   std::erase_if(order_, [this](PlaceId p) { return net_.stage_of(p).is_end(); });
 }
 
+void Engine::compute_exit_stages() {
+  // A place gets an exit set only when every candidate of every type is a
+  // plain latch-to-latch move (the try_fire fast path, whose first test is
+  // the destination's room) into a bounded stage other than its own: then a
+  // full set refuses every candidate before any guard or action runs.
+  const unsigned np = net_.num_places();
+  const unsigned nt = net_.num_types();
+  exit_begin_.assign(np + 1, 0);
+  exit_stages_.clear();
+  sole_exit_.assign(np, nullptr);
+  for (unsigned p = 0; p < np; ++p) {
+    const auto first = static_cast<std::uint32_t>(exit_stages_.size());
+    exit_begin_[p] = first;
+    if (options_.linear_search) continue;
+    bool eligible = true;
+    bool every_type = true;
+    for (unsigned ty = 0; ty < nt && eligible; ++ty) {
+      const auto& cell = sorted_[static_cast<std::size_t>(p) * nt + ty];
+      every_type = every_type && !cell.empty();
+      for (const Transition* t : cell) {
+        const bool latch_move = t->inputs().size() == 1 && t->outputs().size() == 1 &&
+                                t->outputs()[0].emit == ArcEmit::move;
+        const PipelineStage* to =
+            latch_move ? place_stage_[static_cast<unsigned>(t->outputs()[0].place)] : nullptr;
+        if (to == nullptr || to == place_stage_[p] || to->unlimited()) {
+          eligible = false;
+          break;
+        }
+        if (std::find(exit_stages_.begin() + first, exit_stages_.end(), to) ==
+            exit_stages_.end())
+          exit_stages_.push_back(to);
+      }
+    }
+    if (!eligible) exit_stages_.resize(first);
+    if (every_type && exit_stages_.size() == first + 1u) sole_exit_[p] = exit_stages_[first];
+  }
+  exit_begin_[np] = static_cast<std::uint32_t>(exit_stages_.size());
+}
+
 void Engine::build() {
   compute_sorted_transitions();
   compute_process_order();
@@ -185,6 +224,7 @@ void Engine::build() {
     place_stage_[p] = &net_.stage_of(static_cast<PlaceId>(p));
     place_delay_[p] = net_.place(static_cast<PlaceId>(p)).delay;
   }
+  compute_exit_stages();
   stats_.reset(net_.num_transitions(), net_.num_places());
 #if RCPN_OBS
   if (options_.obs != nullptr) {
@@ -465,6 +505,7 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
 void Engine::process_place(PlaceId p) {
   PipelineStage& st = *place_stage_[static_cast<unsigned>(p)];
   if (st.tokens().empty()) return;
+  if (stall_place_if_exit_full(p, st.store())) return;
   // Snapshot: firing mutates the stage's token list.
   scratch_.clear();
   for (Token* t : st.tokens())
@@ -473,7 +514,8 @@ void Engine::process_place(PlaceId p) {
   if (scratch_.empty()) return;
 
   const unsigned nt = net_.num_types();
-  for (InstructionToken* tok : scratch_) {
+  for (std::size_t k = 0; k < scratch_.size(); ++k) {
+    InstructionToken* tok = scratch_[k];
     // Re-check: an earlier firing in this cycle may have consumed, flushed or
     // even recycled-and-reinjected this token.
     if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
@@ -512,8 +554,46 @@ void Engine::process_place(PlaceId p) {
         }
       }
     }
-    if (!fired) count_stall(p, tok);
+    if (!fired) {
+      count_stall(p, tok);
+      if (reject_cause_ == StallCause::capacity_backpressure &&
+          stall_rest_if_exits_full(p, k + 1))
+        return;
+    }
   }
+}
+
+void Engine::stall_ready_tokens(PlaceId p, const TokenStore& ts) {
+  unsigned n = 0;
+  soa::for_each_match_ready(ts.keys(), ts.ready(), ts.size(),
+                            TokenStore::key(p, TokenKind::instruction), clock_,
+                            [&n](std::size_t) { ++n; });
+  add_stalls(p, StallCause::capacity_backpressure, n);
+}
+
+bool Engine::stall_rest_if_exits_full(PlaceId p, std::size_t next) {
+  const unsigned pi = static_cast<unsigned>(p);
+  const std::uint32_t b = exit_begin_[pi], e = exit_begin_[pi + 1];
+  if (b == e || next >= scratch_.size()) return false;
+#if RCPN_OBS
+  if (options_.obs != nullptr) return false;
+#endif
+  for (std::uint32_t i = b; i < e; ++i)
+    if (exit_stages_[i]->has_room(1)) return false;
+  const std::size_t cell = static_cast<std::size_t>(pi) * net_.num_types();
+  unsigned blocked = 0, unmatched = 0;
+  for (std::size_t k = next; k < scratch_.size(); ++k) {
+    const InstructionToken* tok = scratch_[k];
+    if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
+    if (sorted_[cell + static_cast<unsigned>(tok->type)].empty()) {
+      ++unmatched;
+    } else {
+      ++blocked;
+    }
+  }
+  add_stalls(p, StallCause::capacity_backpressure, blocked);
+  add_stalls(p, StallCause::no_ready_token, unmatched);
+  return true;
 }
 
 bool Engine::independent_enabled(const Transition& t) {

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <typeindex>
 #include <vector>
 
@@ -59,7 +60,9 @@ struct EngineOptions {
   /// "computationally expensive usual solution" of §4).
   bool force_two_list_all = false;
   /// Ablation: ignore the Fig 6 sorted-transition table and search all
-  /// transitions of the net for every token (CPN-style global search).
+  /// transitions of the net for every token (CPN-style global search). Every
+  /// token is then tried on its own: no place takes the stage-level stall
+  /// (Engine::stall_place_if_exit_full), in any backend.
   bool linear_search = false;
   /// Quiescence cycle-skipping: after a cycle in which nothing fired, if
   /// every stage's incoming buffer is empty and every visible token's ready
@@ -239,6 +242,16 @@ class Engine {
   const std::vector<PlaceId>& process_order() const { return order_; }
   const std::vector<const Transition*>& candidates(PlaceId p, TypeId type) const;
   bool stage_is_two_list(StageId s) const { return net_.stage(s).two_list(); }
+  /// The exit stages of place `p` (see compute_exit_stages): empty when the
+  /// place never takes the stage-level stall.
+  std::span<const PipelineStage* const> exit_stages(PlaceId p) const {
+    const unsigned i = static_cast<unsigned>(p);
+    return {exit_stages_.data() + exit_begin_[i], exit_begin_[i + 1] - exit_begin_[i]};
+  }
+  /// The single exit stage checked on entry to p's scan, or nullptr.
+  const PipelineStage* sole_exit_stage(PlaceId p) const {
+    return sole_exit_[static_cast<unsigned>(p)];
+  }
 
  protected:
   // The build products, token services and per-cycle bookkeeping are shared
@@ -253,6 +266,7 @@ class Engine {
 
   void compute_sorted_transitions();
   void compute_process_order();
+  void compute_exit_stages();
   void process_place(PlaceId p);
   void run_independent();
   bool try_fire(const Transition& t, InstructionToken* tok);
@@ -372,6 +386,56 @@ class Engine {
 #endif
   }
 
+  // -- stage-level backpressure -----------------------------------------------
+  // Capacity belongs to a stage (Fig 7 checks the output stage before any
+  // guard). When every candidate out of a place is a latch-to-latch move into
+  // another bounded stage and all of those stages are full, no token of the
+  // place can fire: each candidate would be refused on capacity before its
+  // guard runs. The two helpers below record that stall for the whole place
+  // in one step, with exactly the per-token attribution (last candidate wins:
+  // capacity_backpressure, or no_ready_token for a type with an empty Fig 6
+  // cell). Shared by every backend's scan loop. Off under an attached obs hub,
+  // which must see every on_attempt/on_stall, and under linear_search, whose
+  // ablation is the per-token search (no exit sets are built).
+
+  /// Entry of p's scan: if p's sole exit stage is full, count p's ready
+  /// instruction tokens as capacity stalls and return true — the caller
+  /// skips the scan. Inline are only the test and the one-slot count (the
+  /// in-order latches); wider pools are counted, and the mid-scan walk below
+  /// runs, out of line, which measured faster on both StrongArm (smaller
+  /// scan loops) and XScale (no call on its one-slot latches).
+  bool stall_place_if_exit_full(PlaceId p, const TokenStore& ts) {
+    const PipelineStage* x = sole_exit_[static_cast<unsigned>(p)];
+    if (x == nullptr || x->has_room(1)) return false;
+#if RCPN_OBS
+    if (options_.obs != nullptr) return false;
+#endif
+    if (ts.size() == 1) {
+      const bool ready = ts.keys()[0] == TokenStore::key(p, TokenKind::instruction) &&
+                         ts.ready()[0] <= clock_;
+      add_stalls(p, StallCause::capacity_backpressure, ready ? 1u : 0u);
+    } else {
+      stall_ready_tokens(p, ts);
+    }
+    return true;
+  }
+  /// Book every ready instruction token of p in `ts` as a capacity stall,
+  /// counted from the SoA key/ready lanes.
+  void stall_ready_tokens(PlaceId p, const TokenStore& ts);
+
+  /// Mid-scan, after a token of p stalled on capacity: if every exit stage of
+  /// p is full and the snapshot (scratch_) has tokens from index `next` on,
+  /// attribute the rest of it without trying a candidate and return true —
+  /// the caller ends the scan. Earlier firings this cycle may have moved or
+  /// squashed snapshot tokens, so the usual re-check still filters them.
+  bool stall_rest_if_exits_full(PlaceId p, std::size_t next);
+
+  void add_stalls(PlaceId p, StallCause c, unsigned n) {
+    stats_.place_stalls[static_cast<unsigned>(p)] += n;
+    stats_.place_stall_causes[static_cast<unsigned>(p) * kNumStallCauses +
+                              static_cast<unsigned>(c)] += n;
+  }
+
   Net& net_;
   void* machine_ = nullptr;
   std::optional<std::type_index> machine_type_;
@@ -407,6 +471,13 @@ class Engine {
   /// Hot-path caches built by build(): place -> stage object / residence.
   std::vector<PipelineStage*> place_stage_;
   std::vector<std::uint32_t> place_delay_;
+  /// Exit stages per place, CSR: place p's are
+  /// exit_stages_[exit_begin_[p] .. exit_begin_[p + 1]).
+  std::vector<std::uint32_t> exit_begin_;
+  std::vector<const PipelineStage*> exit_stages_;
+  /// Per place: its one exit stage when every type has a candidate, else
+  /// nullptr (the scan-entry test is then one load and one compare).
+  std::vector<const PipelineStage*> sole_exit_;
 
   // Token pools: dense chunked arenas + LIFO free lists (allocation-free
   // steady state; recycled tokens of a pool share cache lines).

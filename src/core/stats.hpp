@@ -16,7 +16,9 @@ class Net;
 /// cycle. Attribution follows the candidate scan: the *last* candidate's
 /// failure reason wins (a token with zero candidates counts as
 /// no_ready_token), identically in every backend — the lockstep tests compare
-/// the per-place breakdown across engines.
+/// the per-place breakdown across engines. A place whose exit stages are all
+/// full is stalled in one step, with the attribution the per-token scan
+/// would give (see Engine::stall_place_if_exit_full).
 enum class StallCause : std::uint8_t {
   /// No candidate matched, or a reservation-input token was missing/not ready.
   no_ready_token = 0,

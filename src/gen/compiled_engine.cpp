@@ -129,6 +129,7 @@ void CompiledEngine::process_place_compiled(PlaceId p, PipelineStage& st) {
   // one ready compare per slot, in age order — tokens are only dereferenced
   // once they pass (the interpreted engine walks the Token objects instead).
   const core::TokenStore& ts = st.store();
+  if (stall_place_if_exit_full(p, ts)) return;
   const std::size_t n = ts.size();
   const core::TokenStore::Key want =
       core::TokenStore::key(p, core::TokenKind::instruction);
@@ -166,7 +167,12 @@ void CompiledEngine::process_place_compiled(PlaceId p, PipelineStage& st) {
         break;
       }
     }
-    if (!fired) count_stall(p, tok);
+    if (!fired) {
+      count_stall(p, tok);
+      if (reject_cause_ == core::StallCause::capacity_backpressure &&
+          stall_rest_if_exits_full(p, k + 1))
+        return;
+    }
   }
 }
 

@@ -14,9 +14,11 @@
 // Actions keep calling FireCtx::engine services unchanged: a CompiledEngine
 // IS-A core::Engine, so models never know which backend runs them.
 //
-// The `linear_search` ablation option is meaningless here (the compiled
-// tables *are* the Fig 6 precomputation) and is ignored; the two-list options
-// act at analysis time and are honored by both backends.
+// The `linear_search` ablation option does not change the candidate lookup
+// here (the compiled tables *are* the Fig 6 precomputation); like every
+// backend, it only loses the shared stage-level stall, whose exit sets
+// Engine::build() does not compute under it. The two-list options act at
+// analysis time and are honored by both backends.
 #pragma once
 
 #include "core/engine.hpp"

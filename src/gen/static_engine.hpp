@@ -230,6 +230,7 @@ class StaticEngine final : public core::Engine {
     // arrays are touched until a slot passes; slot indices ride along as
     // same-index removal hints.
     const core::TokenStore& ts = st.store();
+    if (stall_place_if_exit_full(p, ts)) return;
     const std::size_t n = ts.size();
     const core::TokenStore::Key want =
         core::TokenStore::key(p, core::TokenKind::instruction);
@@ -264,7 +265,12 @@ class StaticEngine final : public core::Engine {
           break;
         }
       }
-      if (!fired) count_stall(p, tok);
+      if (!fired) {
+        count_stall(p, tok);
+        if (reject_cause_ == core::StallCause::capacity_backpressure &&
+            stall_rest_if_exits_full(p, k + 1))
+          return;
+      }
     }
   }
 

@@ -14,6 +14,12 @@
 // cycle-stamped retire and squash traces plus per-transition/per-place
 // statistics at the end.
 //
+// A third engine runs alongside as an independent oracle: the interpreted
+// engine with linear_search, which searches per token and never takes the
+// stage-level stall (Engine::stall_place_if_exit_full /
+// stall_rest_if_exits_full) that the other two share. Its full statistics,
+// stall causes included, and its traces must match theirs.
+//
 // Every seed is a different machine; a divergence report names the seed, so
 // any future backend change that breaks token semantics reproduces with
 // FuzzLockstep + that seed. The SoA token-pool rewrite landed gated on this
@@ -86,26 +92,38 @@ struct Coverage {
   std::uint64_t stalls = 0;
   std::uint64_t loops_taken = 0;
   unsigned models_with_two_list = 0;
+  /// capacity_backpressure stalls in places with an exit set whose stage
+  /// holds two or more tokens: the shape where the stage-level stall can
+  /// end a scan midway.
+  std::uint64_t multi_slot_capacity_stalls = 0;
 };
 
 void run_seed(unsigned seed, Coverage& cov) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  auto make = [seed](core::Backend backend) {
+  auto make = [seed](const core::EngineOptions& options) {
     return std::make_unique<model::Simulator<FuzzMachine>>(
-        machines::fuzz_model_name(seed), machines::fuzz_options_for(seed, backend),
+        machines::fuzz_model_name(seed), options,
         [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
           machines::describe_fuzz_model(seed, b, m);
         },
         FuzzMachine{});
   };
-  auto interp = make(core::Backend::interpreted);
-  auto comp = make(core::Backend::compiled);
+  auto interp = make(machines::fuzz_options_for(seed, core::Backend::interpreted));
+  auto comp = make(machines::fuzz_options_for(seed, core::Backend::compiled));
+  core::EngineOptions ref_options =
+      machines::fuzz_options_for(seed, core::Backend::interpreted);
+  ref_options.linear_search = true;
+  auto ref = make(ref_options);
   ASSERT_NE(dynamic_cast<gen::CompiledEngine*>(&comp->engine()), nullptr);
   ASSERT_EQ(dynamic_cast<gen::CompiledEngine*>(&interp->engine()), nullptr);
+  for (unsigned p = 0; p < ref->net().num_places(); ++p)
+    ASSERT_TRUE(ref->engine().exit_stages(static_cast<core::PlaceId>(p)).empty())
+        << "the per-token reference built an exit set";
 
-  Traces ti, tc;
+  Traces ti, tc, tr;
   record(interp->engine(), ti);
   record(comp->engine(), tc);
+  record(ref->engine(), tr);
 
   // Lockstep: compare the cheap aggregates after every cycle so a divergence
   // is localized to the first bad cycle, not discovered at the end.
@@ -122,12 +140,21 @@ void run_seed(unsigned seed, Coverage& cov) {
                                 << " (deadlocked model?) at cycle " << cycle;
     ASSERT_TRUE(comp->step()) << "seed=" << seed << " compiled engine stopped"
                               << " (deadlocked model?) at cycle " << cycle;
+    ASSERT_TRUE(ref->step()) << "seed=" << seed << " linear-search engine stopped"
+                             << " at cycle " << cycle;
     ASSERT_EQ(interp->clock(), comp->clock()) << "seed=" << seed;
+    ASSERT_EQ(interp->clock(), ref->clock()) << "seed=" << seed;
     ASSERT_EQ(interp->engine().tokens_in_flight(), comp->engine().tokens_in_flight())
+        << "seed=" << seed << " cycle=" << cycle;
+    ASSERT_EQ(interp->engine().tokens_in_flight(), ref->engine().tokens_in_flight())
         << "seed=" << seed << " cycle=" << cycle;
     ASSERT_EQ(interp->stats().retired, comp->stats().retired)
         << "seed=" << seed << " cycle=" << cycle;
+    ASSERT_EQ(interp->stats().retired, ref->stats().retired)
+        << "seed=" << seed << " cycle=" << cycle;
     ASSERT_EQ(interp->stats().firings, comp->stats().firings)
+        << "seed=" << seed << " cycle=" << cycle;
+    ASSERT_EQ(interp->stats().firings, ref->stats().firings)
         << "seed=" << seed << " cycle=" << cycle;
   }
   ASSERT_LT(cycle, kMaxCycles) << "seed=" << seed << ": model did not drain "
@@ -137,15 +164,19 @@ void run_seed(unsigned seed, Coverage& cov) {
 
   // Full end-state comparison: every retirement and squash, cycle-stamped and
   // in order; all statistics; all machine-side counters.
-  EXPECT_EQ(ti.retired, tc.retired) << "seed=" << seed;
-  EXPECT_EQ(ti.squashed, tc.squashed) << "seed=" << seed;
-  expect_stats_equal(seed, interp->stats(), comp->stats());
-  EXPECT_EQ(interp->machine().emitted, comp->machine().emitted) << "seed=" << seed;
-  EXPECT_EQ(interp->machine().actions_run, comp->machine().actions_run)
-      << "seed=" << seed;
-  EXPECT_EQ(interp->machine().flushes, comp->machine().flushes) << "seed=" << seed;
-  EXPECT_EQ(interp->machine().loops_taken, comp->machine().loops_taken)
-      << "seed=" << seed;
+  for (const auto* other : {comp.get(), ref.get()}) {
+    const Traces& t = other == comp.get() ? tc : tr;
+    SCOPED_TRACE(other == comp.get() ? "compiled" : "linear-search reference");
+    EXPECT_EQ(ti.retired, t.retired) << "seed=" << seed;
+    EXPECT_EQ(ti.squashed, t.squashed) << "seed=" << seed;
+    expect_stats_equal(seed, interp->stats(), other->stats());
+    EXPECT_EQ(interp->machine().emitted, other->machine().emitted) << "seed=" << seed;
+    EXPECT_EQ(interp->machine().actions_run, other->machine().actions_run)
+        << "seed=" << seed;
+    EXPECT_EQ(interp->machine().flushes, other->machine().flushes) << "seed=" << seed;
+    EXPECT_EQ(interp->machine().loops_taken, other->machine().loops_taken)
+        << "seed=" << seed;
+  }
   // Conservation: every fetched token either retired or was squashed.
   EXPECT_EQ(interp->stats().fetched,
             interp->stats().retired + interp->stats().squashed)
@@ -156,6 +187,15 @@ void run_seed(unsigned seed, Coverage& cov) {
   cov.reservations += interp->stats().reservations;
   cov.loops_taken += interp->machine().loops_taken;
   for (std::uint64_t s : interp->stats().place_stalls) cov.stalls += s;
+  for (unsigned p = 0; p < interp->net().num_places(); ++p) {
+    const auto place = static_cast<core::PlaceId>(p);
+    if (!interp->engine().exit_stages(place).empty() &&
+        interp->net().stage_of(place).capacity() >= 2)
+      cov.multi_slot_capacity_stalls +=
+          interp->stats().place_stall_causes[p * core::kNumStallCauses +
+                                             static_cast<unsigned>(
+                                                 core::StallCause::capacity_backpressure)];
+  }
   for (unsigned s = 0; s < interp->net().num_stages(); ++s)
     if (interp->engine().stage_is_two_list(static_cast<core::StageId>(s))) {
       ++cov.models_with_two_list;
@@ -174,6 +214,9 @@ Coverage run_seed_range(unsigned first, unsigned last) {
   EXPECT_GT(cov.models_with_two_list, 0u) << "no model used a two-list stage";
   EXPECT_GT(cov.loops_taken, 0u)
       << "no token ever traversed a feedback arc — looping topologies uncovered";
+  EXPECT_GT(cov.multi_slot_capacity_stalls, 0u)
+      << "no multi-slot place with an exit set ever stalled on capacity — the "
+         "mid-scan stage-level stall is uncovered";
   return cov;
 }
 

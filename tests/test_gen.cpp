@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "gen/compiled_engine.hpp"
@@ -16,6 +19,7 @@
 #include "machines/strongarm.hpp"
 #include "machines/tomasulo.hpp"
 #include "machines/xscale.hpp"
+#include "model/simulator.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rcpn {
@@ -185,6 +189,227 @@ TEST(CompiledLockstep, XScaleFullProgram) {
   EXPECT_EQ(ri.mispredicts, rc.mispredicts);
   EXPECT_EQ(ti, tc);
   expect_stats_equal(interp.engine().stats(), comp.engine().stats());
+}
+
+// ---------------------------------------------------------------------------
+// Stage-level backpressure: a place whose exit stages are all full is stalled
+// in one step (Engine::stall_place_if_exit_full / stall_rest_if_exits_full).
+// The interpreted engine under linear_search never takes that path, so it is
+// the per-token reference each case is compared against.
+// ---------------------------------------------------------------------------
+
+core::EngineOptions linear_search_opts() {
+  core::EngineOptions o;
+  o.linear_search = true;
+  return o;
+}
+
+std::uint64_t cause_count(const core::Stats& s, core::PlaceId p, core::StallCause c) {
+  return s.place_stall_causes[static_cast<unsigned>(p) * core::kNumStallCauses +
+                              static_cast<unsigned>(c)];
+}
+
+TEST(StageBackpressure, WideTomasuloStallsMatchPerTokenSearch) {
+  // The wide reservation-station shape: 32 RS slots draining into one EX
+  // slot, fed a 600-instruction ALU stream (every other one a multiply).
+  using I = machines::Fig5Instr;
+  std::vector<I> prog;
+  std::uint32_t lcg = 12345;
+  for (unsigned i = 0; i < 600; ++i) {
+    lcg = lcg * 1103515245u + 12345u;
+    const unsigned d = i % machines::TomasuloCore::kNumRegs;
+    const unsigned s1 = (lcg >> 8) % machines::TomasuloCore::kNumRegs;
+    const unsigned s2 = (lcg >> 16) % machines::TomasuloCore::kNumRegs;
+    prog.push_back(i % 2 == 1 ? I::alu(I::AluOp::mul, d, s1, s2)
+                              : I::alui(I::AluOp::add, d, s1, lcg >> 24));
+  }
+
+  machines::TomasuloCore ref(32, 1, linear_search_opts());
+  machines::TomasuloCore interp(32, 1);
+  machines::TomasuloCore comp(32, 1, compiled_opts());
+  const core::PlaceId rs = ref.net().find_place("RS");
+  const core::PlaceId ex = ref.net().find_place("EX");
+  EXPECT_EQ(ref.engine().sole_exit_stage(rs), nullptr);
+  EXPECT_EQ(interp.engine().sole_exit_stage(rs), &interp.net().stage_of(ex));
+  EXPECT_EQ(comp.engine().sole_exit_stage(rs), &comp.net().stage_of(ex));
+
+  std::vector<RetireEvent> tr, ti, tc;
+  record_retires(ref.engine(), tr);
+  record_retires(interp.engine(), ti);
+  record_retires(comp.engine(), tc);
+  for (machines::TomasuloCore* core : {&ref, &interp, &comp}) {
+    core->load(prog);
+    core->run();
+  }
+
+  ASSERT_EQ(tr.size(), prog.size());
+  EXPECT_EQ(tr, ti);
+  EXPECT_EQ(tr, tc);
+  expect_stats_equal(ref.engine().stats(), interp.engine().stats());
+  expect_stats_equal(ref.engine().stats(), comp.engine().stats());
+  // The RS really spends its time blocked on the one EX slot: several tokens
+  // per cycle on average.
+  const core::Stats& s = ref.engine().stats();
+  EXPECT_GT(cause_count(s, rs, core::StallCause::capacity_backpressure), 5 * s.cycles);
+  for (unsigned r = 0; r < machines::TomasuloCore::kNumRegs; ++r) {
+    EXPECT_EQ(ref.reg(r), interp.reg(r)) << "r" << r;
+    EXPECT_EQ(ref.reg(r), comp.reg(r)) << "r" << r;
+  }
+}
+
+/// Machine context of the hand-built nets below: fetch injects `pattern`
+/// (one type per token) into `entry`, up to `width` tokens per cycle.
+struct PatternMachine {
+  std::vector<core::TypeId> pattern;
+  std::size_t emitted = 0;
+  core::PlaceId entry = core::kNoPlace;
+  /// Stage the first firing flushes one younger token from (kNoStage: none).
+  core::StageId flush_stage = core::kNoStage;
+  std::uint32_t flush_seq = 0;
+};
+
+void add_pattern_fetch(model::ModelBuilder<PatternMachine>& b, model::PlaceHandle entry,
+                       int width) {
+  b.add_independent_transition("fetch")
+      .guard([](PatternMachine& m, core::FireCtx& ctx) {
+        return m.emitted < m.pattern.size() && ctx.engine->place_has_room(m.entry);
+      })
+      .action([](PatternMachine& m, core::FireCtx& ctx) {
+        core::InstructionToken* t = ctx.engine->acquire_pooled_instruction();
+        t->type = m.pattern[m.emitted++];
+        ctx.engine->emit_instruction(t, m.entry);
+      })
+      .max_fires_per_cycle(width)
+      .to(entry);
+}
+
+/// Run `sims` side by side for `cycles` cycles and compare each against the
+/// first (the linear-search reference): clock, stats, retire and squash order.
+template <std::size_t N>
+void expect_lockstep(std::array<model::Simulator<PatternMachine>*, N> sims,
+                     std::uint64_t cycles) {
+  std::array<std::vector<RetireEvent>, N> retired, squashed;
+  for (std::size_t i = 0; i < N; ++i) {
+    core::Engine& eng = sims[i]->engine();
+    record_retires(eng, retired[i]);
+    eng.hooks().on_squash = [&eng, &out = squashed[i]](core::InstructionToken* t) {
+      out.push_back(RetireEvent{eng.clock(), t->pc, t->seq});
+    };
+  }
+  for (std::uint64_t c = 0; c < cycles; ++c)
+    for (auto* sim : sims) sim->step();
+  for (std::size_t i = 1; i < N; ++i) {
+    SCOPED_TRACE("engine " + std::to_string(i));
+    EXPECT_EQ(sims[0]->clock(), sims[i]->clock());
+    EXPECT_EQ(retired[0], retired[i]);
+    EXPECT_EQ(squashed[0], squashed[i]);
+    expect_stats_equal(sims[0]->stats(), sims[i]->stats());
+  }
+}
+
+TEST(StageBackpressure, MidScanStallSkipsFlushedTokensAndEmptyCells) {
+  // POOL (6 slots) holds tokens of types A and B. A has no transition out of
+  // POOL (an empty Fig 6 cell: no_ready_token); B's only exit is the
+  // one-slot X. Fetch fills POOL with B B A B B A in one cycle. Next cycle
+  // the first B fires into X and its action flushes the fourth token (a B
+  // later in the same snapshot); the second B is then refused on capacity
+  // with X full, and the rest of the snapshot — A, the flushed B, B, A — is
+  // attributed in one step.
+  model::TypeHandle ty_a, ty_b;
+  model::PlaceHandle pool_place, x_place;
+  auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
+    const model::StageHandle pool = b.add_stage("POOL", 6);
+    const model::StageHandle x = b.add_stage("X", 1);
+    pool_place = b.add_place("POOL", pool);
+    x_place = b.add_place("X", x, /*delay=*/2);
+    ty_a = b.add_type("A");
+    ty_b = b.add_type("B");
+    b.add_transition("go", ty_b)
+        .from(pool_place)
+        .action([](PatternMachine& m, core::FireCtx& ctx) {
+          if (m.flush_stage == core::kNoStage || ctx.token->seq != 0) return;
+          const std::uint32_t victim = m.flush_seq;
+          ctx.engine->flush_stage_if(m.flush_stage, [victim](const core::Token& t) {
+            return t.kind == core::TokenKind::instruction &&
+                   static_cast<const core::InstructionToken&>(t).seq == victim;
+          });
+        })
+        .to(x_place);
+    b.add_transition("leave", ty_b).from(x_place).to(b.end());
+    m.entry = pool_place;
+    m.flush_stage = pool;
+    m.flush_seq = 3;
+    add_pattern_fetch(b, pool_place, 6);
+  };
+  auto make = [&](core::EngineOptions o) {
+    auto sim = std::make_unique<model::Simulator<PatternMachine>>("bulk-mid-scan", o,
+                                                                  describe);
+    const core::TypeId a = ty_a, bt = ty_b;
+    sim->machine().pattern = {bt, bt, a, bt, bt, a};
+    return sim;
+  };
+  auto ref = make(linear_search_opts());
+  auto interp = make({});
+  auto comp = make(compiled_opts());
+
+  const core::PlaceId pool = pool_place;
+  const core::PlaceId x = x_place;
+  ASSERT_EQ(interp->engine().exit_stages(pool).size(), 1u);
+  EXPECT_EQ(interp->engine().exit_stages(pool)[0], &interp->net().stage_of(x));
+  // Type A has no candidate, so the scan-entry shortcut does not apply.
+  EXPECT_EQ(interp->engine().sole_exit_stage(pool), nullptr);
+
+  expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 12);
+
+  // Cycle 1: B0 fires and flushes B3; B1 and B4 stall on capacity, A2 and A5
+  // on no_ready_token. Cycle 2 (X still holds B0): B1 and B4 on capacity.
+  // Cycle 3: B1 fires, B4 on capacity. Cycle 4: B4 on capacity. Cycle 5: B4
+  // fires. The two As stall on no_ready_token in every cycle from 1 on.
+  const core::Stats& s = ref->stats();
+  EXPECT_EQ(s.squashed, 1u);
+  EXPECT_EQ(s.retired, 3u);
+  EXPECT_EQ(cause_count(s, pool, core::StallCause::capacity_backpressure), 6u);
+  EXPECT_EQ(cause_count(s, pool, core::StallCause::no_ready_token), 2u * 11u);
+  EXPECT_EQ(cause_count(s, pool, core::StallCause::guard_rejected), 0u);
+}
+
+TEST(StageBackpressure, OwnStageAndEndExitsNeverTakeTheStageStall) {
+  // P0 moves into P1 of its own stage (the move frees the slot it fills, so
+  // capacity is never checked); P1 exits to the unlimited end stage. Neither
+  // place gets an exit set, although S is full most cycles.
+  model::PlaceHandle p0, p1;
+  model::TransitionHandle advance;
+  auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
+    const model::StageHandle st = b.add_stage("S", 2);
+    p0 = b.add_place("P0", st);
+    p1 = b.add_place("P1", st, /*delay=*/3);
+    const model::TypeHandle ty = b.add_type("T");
+    advance = b.add_transition("advance", ty).from(p0).to(p1).handle();
+    b.add_transition("retire", ty).from(p1).to(b.end());
+    m.entry = p0;
+    add_pattern_fetch(b, p0, 2);
+  };
+  auto make = [&](core::EngineOptions o) {
+    auto sim =
+        std::make_unique<model::Simulator<PatternMachine>>("bulk-ineligible", o, describe);
+    sim->machine().pattern.assign(40, core::TypeId{0});
+    return sim;
+  };
+  auto ref = make(linear_search_opts());
+  auto interp = make({});
+  auto comp = make(compiled_opts());
+  for (auto* sim : {interp.get(), comp.get()}) {
+    EXPECT_TRUE(sim->engine().exit_stages(p0).empty());
+    EXPECT_TRUE(sim->engine().exit_stages(p1).empty());
+    EXPECT_EQ(sim->engine().sole_exit_stage(p0), nullptr);
+    EXPECT_EQ(sim->engine().sole_exit_stage(p1), nullptr);
+  }
+
+  expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 200);
+  EXPECT_EQ(ref->stats().retired, 40u);
+  // P0 moved into a full stage: the firing that a stage-level stall on S
+  // would have refused.
+  EXPECT_EQ(ref->stats().transition_fires[static_cast<unsigned>(advance.id())], 40u);
 }
 
 // ---------------------------------------------------------------------------
