@@ -113,7 +113,7 @@ void ArmMachine::load_program(const sys::Program& program) {
 }
 
 void ArmMachine::bind(isa::DecodeCache::Entry& e) {
-  auto pl = std::make_unique<ArmPayload>();
+  ArmPayload* pl = e.make<ArmPayload>();
   pl->d = arm::decode(e.raw, e.pc);
   const DecodedInstruction& d = pl->d;
   InstructionToken& t = e.token;
@@ -121,17 +121,12 @@ void ArmMachine::bind(isa::DecodeCache::Entry& e) {
 
   const core::PlaceId* owner = &t.state;
   auto make_regref = [&](unsigned r) -> RegRef* {
-    auto ref = std::make_unique<RegRef>();
+    RegRef* ref = e.make<RegRef>();
     ref->bind(&rf, static_cast<regfile::RegisterId>(r), owner);
-    RegRef* raw = ref.get();
-    e.operands.push_back(std::move(ref));
-    return raw;
+    return ref;
   };
   auto make_const = [&](std::uint32_t v) -> Operand* {
-    auto c = std::make_unique<ConstOperand>(v);
-    Operand* raw = c.get();
-    e.operands.push_back(std::move(c));
-    return raw;
+    return e.make<ConstOperand>(v);
   };
   auto add_read = [&](RegRef* r) {
     assert(pl->n_reads < 4);
@@ -244,8 +239,7 @@ void ArmMachine::bind(isa::DecodeCache::Entry& e) {
       break;
   }
 
-  t.payload = pl.get();
-  e.payload = std::move(pl);
+  t.payload = pl;
 }
 
 // ---------------------------------------------------------------------------

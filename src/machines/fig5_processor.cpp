@@ -96,28 +96,25 @@ void Fig5Machine::load(std::vector<Fig5Instr> p) {
   rf.reset();
   mem.clear();
   cache.reset();
+  // Fetch passes raw = 0, so a kept entry could not notice a changed
+  // program: throw the decode work away (DecodeCache reuses its storage).
   dcache.clear();
 }
 
 void Fig5Machine::bind(isa::DecodeCache::Entry& e) {
-  auto pl = std::make_unique<Payload>();
+  Payload* pl = e.make<Payload>();
   pl->instr = program[e.pc];
   const Fig5Instr& i = pl->instr;
   InstructionToken& t = e.token;
   const core::PlaceId* owner = &t.state;
 
   auto make_reg = [&](unsigned r) -> Operand* {
-    auto ref = std::make_unique<RegRef>();
+    RegRef* ref = e.make<RegRef>();
     ref->bind(&rf, static_cast<regfile::RegisterId>(r), owner);
-    Operand* raw = ref.get();
-    e.operands.push_back(std::move(ref));
-    return raw;
+    return ref;
   };
   auto make_const = [&](std::uint32_t v) -> Operand* {
-    auto c = std::make_unique<ConstOperand>(v);
-    Operand* raw = c.get();
-    e.operands.push_back(std::move(c));
-    return raw;
+    return e.make<ConstOperand>(v);
   };
 
   switch (i.kind) {
@@ -139,8 +136,7 @@ void Fig5Machine::bind(isa::DecodeCache::Entry& e) {
       t.ops[kSlotSrc1] = make_const(static_cast<std::uint32_t>(i.offset));
       break;
   }
-  t.payload = pl.get();
-  e.payload = std::move(pl);
+  t.payload = pl;
 }
 
 // -- named delegates ---------------------------------------------------------------

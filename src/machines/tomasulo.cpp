@@ -66,13 +66,15 @@ void TomasuloMachine::load(std::vector<Fig5Instr> p) {
   program = std::move(p);
   pc = 0;
   rf.reset();
+  // Fetch passes raw = 0, so a kept entry could not notice a changed
+  // program: throw the decode work away (DecodeCache reuses its storage).
   dcache.clear();
   last_exec_seq = 0;
   observed_ooo = false;
 }
 
 void TomasuloMachine::bind(isa::DecodeCache::Entry& e) {
-  auto pl = std::make_unique<Payload>();
+  Payload* pl = e.make<Payload>();
   pl->instr = program[e.pc];
   const Fig5Instr& i = pl->instr;
   InstructionToken& t = e.token;
@@ -80,24 +82,18 @@ void TomasuloMachine::bind(isa::DecodeCache::Entry& e) {
   const core::PlaceId* owner = &t.state;
 
   auto make_reg = [&](unsigned r) -> Operand* {
-    auto ref = std::make_unique<RegRef>();
+    RegRef* ref = e.make<RegRef>();
     ref->bind(&rf, static_cast<regfile::RegisterId>(r), owner);
-    Operand* raw = ref.get();
-    e.operands.push_back(std::move(ref));
-    return raw;
+    return ref;
   };
   auto make_const = [&](std::uint32_t v) -> Operand* {
-    auto c = std::make_unique<ConstOperand>(v);
-    Operand* raw = c.get();
-    e.operands.push_back(std::move(c));
-    return raw;
+    return e.make<ConstOperand>(v);
   };
 
   t.ops[kSlotDst] = make_reg(i.d);
   t.ops[kSlotSrc1] = make_reg(i.s1);
   t.ops[kSlotSrc2] = i.s2_is_imm ? make_const(i.imm) : make_reg(i.s2);
-  t.payload = pl.get();
-  e.payload = std::move(pl);
+  t.payload = pl;
 }
 
 // -- named delegates ---------------------------------------------------------------
