@@ -23,8 +23,8 @@
 // symbols resolve through the library's shipped registries
 // (machines/desc_machines.hpp).
 //
-// The old flat spelling (`rcpn_emit fig2 --out ...`) still works through a
-// deprecation shim that prints the new spelling.
+// An unknown command (including the old flat `rcpn_emit fig2 ...` spelling)
+// prints the usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -329,13 +329,5 @@ int main(int argc, char** argv) {
     args[0] = "fuzz-" + args[0];
     return cmd_emit(argv[0], args);
   }
-  // Deprecation shim: the pre-subcommand flat spelling (`rcpn_emit fig2
-  // --out ...`) behaves exactly like `emit` and prints the new invocation.
-  std::string spelled = std::string(argv[0]) + " emit";
-  for (int i = 1; i < argc; ++i) spelled += std::string(" ") + argv[i];
-  std::fprintf(stderr,
-               "rcpn_emit: warning: flat invocation is deprecated; use:\n  %s\n",
-               spelled.c_str());
-  args.assign(argv + 1, argv + argc);
-  return cmd_emit(argv[0], args);
+  return usage(argv[0], 2);
 }

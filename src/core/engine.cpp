@@ -426,7 +426,7 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
 
   // 1. Input availability: the trigger token is `tok` (already matched);
   //    every reservation arc needs a ready reservation token.
-  Token* reservations[4];
+  Token* reservations[kMaxReservationInputs];
   unsigned nres = 0;
   for (const InArc& a : t.inputs()) {
     if (a.need == ArcNeed::trigger) continue;
@@ -435,18 +435,18 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
       reject_cause_ = StallCause::no_ready_token;
       return false;
     }
-    assert(nres < 4);
+    assert(nres < kMaxReservationInputs);
     reservations[nres++] = r;
   }
 
   // 2. Output capacity, netting out same-stage removals (paper: "the
   //    pipeline stages of the output places have enough capacity").
-  StageDelta deltas[8];
+  StageDelta deltas[kMaxTransitionArcs];
   unsigned nd = 0;
   auto delta_for = [&](StageId s) -> StageDelta& {
     for (unsigned i = 0; i < nd; ++i)
       if (deltas[i].stage == s) return deltas[i];
-    assert(nd < 8);
+    assert(nd < kMaxTransitionArcs);
     deltas[nd].stage = s;
     deltas[nd].removals = 0;
     deltas[nd].additions = 0;

@@ -30,9 +30,12 @@
 
 namespace rcpn::core {
 
-/// Which engine executes the model. Both run the same static extraction and
-/// are cycle-for-cycle equivalent (tests/test_gen.cpp pins this); they differ
-/// only in how the hot loop is laid out:
+/// Which engine executes the model. All three run the same static extraction
+/// and are cycle-for-cycle equivalent (tests/test_gen.cpp and the four-way
+/// harness in tests/test_freestanding.cpp pin this); they differ only in how
+/// the hot loop reads the schedule. compiled and generated are two table
+/// policies over one loop, gen::TableEngine; interpreted keeps its own loop
+/// as the independent reference:
 ///  * interpreted — core::Engine walking the net's Transition objects;
 ///  * compiled — gen::CompiledEngine running the flattened tables produced by
 ///    gen::CompiledModel::lower() (§4-5's generated simulator: contiguous
@@ -121,7 +124,7 @@ class Engine {
 
   /// Simulate one clock cycle. Returns false once stop() has been called.
   /// Virtual dispatch costs one indirect call per *cycle*, not per event —
-  /// the hot work inside a cycle stays devirtualized in both backends.
+  /// the hot work inside a cycle stays devirtualized in every backend.
   virtual bool step();
   /// Run until stop() or `max_cycles`; returns cycles executed.
   std::uint64_t run(std::uint64_t max_cycles = ~0ull);
@@ -186,7 +189,7 @@ class Engine {
   std::uint64_t tokens_in_flight() const { return in_flight_; }
 
   // -- narrow token-storage interface -----------------------------------------
-  // Both backends store tokens in the per-stage SoA pools (TokenStore); these
+  // Every backend stores tokens in the per-stage SoA pools (TokenStore); these
   // are the only entry points, so guards, actions and stats observe identical
   // token semantics regardless of which hot loop runs.
 
@@ -255,9 +258,10 @@ class Engine {
 
  protected:
   // The build products, token services and per-cycle bookkeeping are shared
-  // with derived engines: gen::CompiledEngine replaces only the hot loop
-  // (candidate search + firing) and reuses everything else, so both backends
-  // stay cycle-for-cycle equivalent by construction.
+  // with derived engines: gen::TableEngine (the compiled and generated
+  // backends) replaces only the hot loop (candidate search + firing) and
+  // reuses everything else, so all three backends stay cycle-for-cycle
+  // equivalent by construction.
   struct StageDelta {
     StageId stage = kNoStage;
     int removals = 0;
@@ -277,11 +281,11 @@ class Engine {
   }
   /// Token entry with the place->stage hop already resolved — the one copy of
   /// the entry semantics (retire-on-end, next_delay/residence, two-list state
-  /// lag); the compiled backend calls it with its lowering-time stage
+  /// lag); gen::TableEngine calls it with its pre-resolved stage
   /// pointers, enter_place() with the id-indexed cache. Inline, with retire()
   /// and recycle(), so a firing in any backend's hot loop calls nothing
   /// out of line in the core. Forced: GCC otherwise keeps an out-of-line
-  /// copy for the compiled backend's latch-to-latch path, which measured ~6%
+  /// copy for the table loop's latch-to-latch path, which measured ~6%
   /// slower end to end on StrongArm crc.
   [[gnu::always_inline]] void enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
                                              std::uint32_t transition_delay) {
@@ -339,7 +343,7 @@ class Engine {
   }
   void squash_token(Token* t);
   /// Advance the clock, update stats and run the deadlock watchdog (the tail
-  /// of Fig 8's main loop, shared by both backends). Returns !stopped_.
+  /// of Fig 8's main loop, shared by every backend). Returns !stopped_.
   bool finish_cycle();
   /// The quiescence fast-forward (options_.quiescence_skip): called by
   /// finish_cycle() after a zero-activity cycle; jumps clock_ and

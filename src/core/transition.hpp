@@ -71,6 +71,14 @@ struct OutArc {
   ArcEmit emit = ArcEmit::move;
 };
 
+/// Arc limits of one transition, sized to the fixed per-firing buffers of
+/// every engine's try_fire; model::ModelBuilder rejects a model beyond them.
+/// Reservation input arcs (the buffer of reservation tokens a firing takes).
+inline constexpr unsigned kMaxReservationInputs = 4;
+/// Input plus output arcs. Each arc names one place, so one firing touches at
+/// most this many stages (the buffer of per-stage capacity deltas).
+inline constexpr unsigned kMaxTransitionArcs = 8;
+
 class Transition {
  public:
   Transition(std::string name, TransitionId id, TypeId subnet)
@@ -102,7 +110,7 @@ class Transition {
   void* action_env() const { return action_env_; }
 
   /// Fully-qualified C++ symbol of the delegate, when the model registered a
-  /// *named* function (ModelBuilder::guard_named/action_named). Empty for
+  /// *named* function (a desc::DelegateRegistry binding). Empty for
   /// anonymous closures. gen::emit_simulator() turns these into direct calls
   /// in the generated translation unit — a delegate without a symbol cannot
   /// be emitted. The *_takes_machine flags record the named function's

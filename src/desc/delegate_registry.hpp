@@ -1,11 +1,9 @@
 // DelegateRegistry: the single source of truth for a model's named
 // guard/action delegates (paper §3's "semantic functions bound by symbol").
 //
-// Before this existed, a named delegate was registered at every call site as
-// a (function, spelled-out symbol string) pair via guard_named/action_named —
-// emit-time string plumbing with nothing guaranteeing the same symbol maps to
-// the same function everywhere. A DelegateRegistry owns that mapping once per
-// machine family:
+// A named delegate is a (function, spelled-out symbol string) pair. A
+// DelegateRegistry owns that mapping once per machine family, so the same
+// symbol maps to the same function everywhere:
 //
 //   const desc::DelegateRegistry& fig2_delegates() {
 //     static const desc::DelegateRegistry reg = [] {
@@ -47,9 +45,9 @@ class TypedDelegates;
 
 class DelegateRegistry {
  public:
-  /// One named delegate: the type-erased trampoline (env = machine pointer,
-  /// exactly the guard_named/action_named shape) plus the arity the call must
-  /// be emitted with — (Machine&, FireCtx&) vs (FireCtx&).
+  /// One named delegate: the type-erased trampoline (env = machine pointer)
+  /// plus the arity the call must be emitted with — (Machine&, FireCtx&) vs
+  /// (FireCtx&).
   struct Binding {
     core::GuardFn guard = nullptr;    // set for guard bindings
     core::ActionFn action = nullptr;  // set for action bindings
@@ -107,8 +105,8 @@ class DelegateRegistry {
 };
 
 /// Fluent adder returned by DelegateRegistry::bind<Machine>(). Instantiates
-/// the same direct-call trampolines as guard_named/action_named: `Fn` is the
-/// function itself, so the indirect call the engine makes is the only
+/// a direct-call trampoline per function: `Fn` is the function itself, so
+/// the indirect call the engine makes is the only
 /// indirection between the hot loop and the delegate body.
 template <typename Machine>
 class TypedDelegates {

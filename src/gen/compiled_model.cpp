@@ -79,12 +79,9 @@ CompiledModel CompiledModel::lower(core::Engine& eng) {
   }
 
   cm.order.assign(eng.process_order().begin(), eng.process_order().end());
-  for (core::PlaceId p : cm.order) cm.order_stage.push_back(&net.stage_of(p));
   for (unsigned s = 0; s < cm.num_stages; ++s)
-    if (net.stage(static_cast<core::StageId>(s)).two_list()) {
+    if (net.stage(static_cast<core::StageId>(s)).two_list())
       cm.two_list_stages.push_back(static_cast<core::StageId>(s));
-      cm.two_list_stage_ptrs.push_back(&net.stage(static_cast<core::StageId>(s)));
-    }
 
   cm.place_stage.resize(cm.num_places);
   cm.place_delay.resize(cm.num_places);

@@ -103,19 +103,14 @@ struct CompiledModel {
 
   /// Fig 8 processing order (reverse topological; end places dropped).
   std::vector<core::PlaceId> order;
-  /// Pre-resolved owning stage of each `order` entry (same index): the hot
-  /// loop reaches each place's token pool without the id->stage hop.
-  std::vector<core::PipelineStage*> order_stage;
   /// Stages running the two-list (master/slave) algorithm.
   std::vector<core::StageId> two_list_stages;
-  /// The same stages pre-resolved for the per-cycle promote loop.
-  std::vector<core::PipelineStage*> two_list_stage_ptrs;
 
   /// Per-place structure-of-arrays: owning stage and residence delay.
   std::vector<core::StageId> place_stage;
   std::vector<std::uint32_t> place_delay;
 
-  /// Token-arena pre-allocation hints, applied by CompiledEngine::build(), so
+  /// Token-arena pre-allocation hints, applied by TableEngine::build(), so
   /// the steady state never allocates a token (the per-stage SoA slots need
   /// no sizing: every store is born at its stage's capacity).
   std::uint32_t instr_pool_hint = 0;

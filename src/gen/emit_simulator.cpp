@@ -102,8 +102,9 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   if (!missing.empty())
     throw std::runtime_error(
         "emit_simulator: model '" + net.name() +
-        "' binds anonymous delegates that cannot be emitted (register them "
-        "as named free functions with guard_named/action_named):" +
+        "' binds anonymous delegates that cannot be emitted (bind named free "
+        "functions by symbol: a desc::DelegateRegistry, use_delegates() and "
+        "guard_ref/action_ref):" +
         missing);
 
   const bool freestanding = options.mode == EmitMode::freestanding;

@@ -30,11 +30,12 @@
 //    (gen::amalgamate_sources), so the artifact compiles with zero repo
 //    includes and links against nothing but the C++ standard library:
 //
-//      rcpn_emit fig2 --freestanding > fs.cpp && c++ -std=c++20 -O3 fs.cpp
+//      rcpn_emit emit fig2 --freestanding > fs.cpp && c++ -std=c++20 -O3 fs.cpp
 //
-// Requirements on the model: every guard/action registered through
-// ModelBuilder's guard_named/action_named (anonymous closures cannot be
-// emitted — emit_simulator throws listing the offenders), plus
+// Requirements on the model: every guard/action bound by symbol through a
+// desc::DelegateRegistry (ModelBuilder::use_delegates + guard_ref/action_ref;
+// anonymous closures cannot be emitted — emit_simulator throws listing the
+// offenders), plus
 // emit_machine_type()/emit_include() so the generated TU can name the
 // context type and include (or, freestanding, inline) its declarations.
 // Emission is deterministic: byte-identical output for the same model

@@ -10,11 +10,11 @@
 // table and every delegate body at once: the paper's "generated C++
 // simulator" that whole-program/LTO optimization can specialize end to end.
 //
-// Semantics are inherited: StaticEngine derives core::Engine and replaces
-// only the hot loop (exactly like gen::CompiledEngine, whose structure the
-// loop below mirrors); token services, two-list promotion, retirement,
-// flush, pools, stats and the watchdog are the shared Engine code, so all
-// three backends stay cycle-for-cycle equivalent by construction.
+// StaticEngine is the constexpr table policy of gen::TableEngine: the shared
+// hot loop reads these arrays and dispatches through the Traits switches,
+// and everything else (token services, two-list promotion, retirement,
+// flush, pools, stats, the watchdog) is the inherited core::Engine code, so
+// all three backends stay cycle-for-cycle equivalent by construction.
 //
 // A generated artifact can go stale: the model description may change after
 // the source was emitted. build() therefore *verifies* every table against
@@ -23,15 +23,14 @@
 // build failure, never a silently wrong simulation.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
-#include "core/soa_scan.hpp"
 #include "gen/generated.hpp"
+#include "gen/table_engine.hpp"
 
 namespace rcpn::gen {
 
@@ -61,252 +60,60 @@ struct StaticCandRange {
 };
 
 template <typename Traits>
-class StaticEngine final : public core::Engine {
+class StaticEngine final : public TableEngine<StaticEngine<Traits>> {
+  using Base = TableEngine<StaticEngine<Traits>>;
+
  public:
   using Machine = typename Traits::Machine;
 
-  StaticEngine(core::Net& net, core::EngineOptions options)
-      : core::Engine(net, options) {}
-
-  /// Shared static extraction, then verify the generated tables against it
-  /// (throws std::runtime_error on a stale artifact) and pre-size the arenas.
-  void build() override {
-    core::Engine::build();
-    verify_tables();
-    reserve_token_pools(Traits::kInstrPoolHint, Traits::kResPoolHint);
-    scratch_.reserve(Traits::kInstrPoolHint);
-    scratch_idx_.reserve(Traits::kInstrPoolHint);
-    order_stage_.clear();
-    for (unsigned i = 0; i < Traits::kNumOrder; ++i)
-      order_stage_.push_back(
-          place_stage_[static_cast<unsigned>(Traits::kProcessOrder[i])]);
-    two_list_ptrs_.clear();
-    for (unsigned i = 0; i < Traits::kNumTwoList; ++i)
-      two_list_ptrs_.push_back(
-          &net_.stage(static_cast<core::StageId>(Traits::kTwoListStages[i])));
-    m_ = &machine<Machine>();
-  }
-
-  /// The Fig 8 main loop over the constexpr tables.
-  bool step() override {
-    if (!built()) build();
-    if (stopped()) return false;
-
-    for (core::PipelineStage* st : two_list_ptrs_) st->promote_incoming();
-
-    for (unsigned i = 0; i < Traits::kNumOrder; ++i) {
-      core::PipelineStage& st = *order_stage_[i];
-      if (!st.store().empty()) process_place_static(Traits::kProcessOrder[i], st);
-    }
-
-    for (unsigned i = 0; i < Traits::kNumIndependent; ++i) {
-      const StaticTx& ct = Traits::kIndependent[i];
-      for (std::int32_t f = 0; f < ct.max_fires; ++f) {
-        if (!independent_enabled_static(ct)) break;
-        fire_independent_static(ct);
-      }
-    }
-
-    return finish_cycle();
-  }
+  StaticEngine(core::Net& net, core::EngineOptions options) : Base(net, options) {}
 
  private:
-  bool run_guard(std::int16_t id, core::FireCtx& ctx) {
-    // kHasGuard gates the dispatch so guardless transitions cost one constexpr
-    // table load, mirroring the null check of the other backends.
-    if (!Traits::kHasGuard[static_cast<unsigned>(id)]) return true;
-    return Traits::guard(id, *m_, ctx);
+  friend Base;
+  // Engine members named below (the base class is dependent).
+  using core::Engine::candidates;
+  using core::Engine::net_;
+  using core::Engine::options_;
+  using core::Engine::place_stage_;
+  using core::Engine::process_order;
+
+  // -- the constexpr table policy (see gen/table_engine.hpp) --------------------
+  /// Verify the generated tables against the live extraction (throws
+  /// std::runtime_error on a stale artifact) and bind the typed machine.
+  void load_tables() {
+    verify_tables();
+    m_ = &this->template machine<Machine>();
   }
-  void run_action(std::int16_t id, core::FireCtx& ctx) {
-    if (Traits::kHasAction[static_cast<unsigned>(id)]) Traits::action(id, *m_, ctx);
+  static std::uint32_t instr_pool_hint() { return Traits::kInstrPoolHint; }
+  static std::uint32_t res_pool_hint() { return Traits::kResPoolHint; }
+  static StaticCandRange cell(core::PlaceId p, core::TypeId ty) {
+    return Traits::kCell[static_cast<std::size_t>(p) * Traits::kNumTypes +
+                         static_cast<unsigned>(ty)];
   }
-
-  bool try_fire_static(const StaticTx& ct, core::InstructionToken* tok,
-                       core::PipelineStage& from, std::size_t hint) {
-    count_attempt(ct.id);
-    if (ct.simple) {
-      // Latch-to-latch: shape and destination were resolved at emission.
-      core::PipelineStage& to = *place_stage_[static_cast<unsigned>(ct.move_place)];
-      if (&to != &from && !to.has_room(1, 0)) {
-        reject_cause_ = core::StallCause::capacity_backpressure;
-        return false;
-      }
-      core::FireCtx ctx{this, tok, ct.id};
-      if (!run_guard(ct.id, ctx)) {
-        reject_cause_ = core::StallCause::guard_rejected;
-        return false;
-      }
-      const bool removed = from.remove_at(hint, tok);
-      assert(removed && "trigger token not visible in its place");
-      (void)removed;
-      tok->place = core::kNoPlace;
-      tok->state = core::kNoPlace;
-      run_action(ct.id, ctx);
-      enter_place_in(tok, ct.move_place, to, ct.delay);
-      count_fire(ct.id);
-      return true;
-    }
-
-    // General shape: mirror of Engine::try_fire over the constexpr arrays.
-    core::Token* reservations[4];
-    unsigned nres = 0;
-    for (unsigned i = 0; i < ct.n_res_in; ++i) {
-      core::Token* r = find_ready_reservation(Traits::kResIn[ct.res_in_begin + i]);
-      if (r == nullptr) {
-        reject_cause_ = core::StallCause::no_ready_token;
-        return false;
-      }
-      assert(nres < 4);
-      reservations[nres++] = r;
-    }
-
-    StageDelta deltas[8];
-    unsigned nd = 0;
-    auto delta_for = [&](core::StageId s) -> StageDelta& {
-      for (unsigned i = 0; i < nd; ++i)
-        if (deltas[i].stage == s) return deltas[i];
-      assert(nd < 8);
-      deltas[nd].stage = s;
-      deltas[nd].removals = 0;
-      deltas[nd].additions = 0;
-      return deltas[nd++];
-    };
-    delta_for(Traits::kPlaceStage[static_cast<unsigned>(tok->place)]).removals += 1;
-    for (unsigned i = 0; i < nres; ++i)
-      delta_for(Traits::kPlaceStage[static_cast<unsigned>(reservations[i]->place)])
-          .removals += 1;
-    for (unsigned i = 0; i < ct.n_out; ++i)
-      delta_for(Traits::kPlaceStage[static_cast<unsigned>(
-                    Traits::kOutArcs[ct.out_begin + i].place)])
-          .additions += 1;
-    for (unsigned i = 0; i < nd; ++i) {
-      const core::PipelineStage& st = net_.stage(deltas[i].stage);
-      if (!st.has_room(static_cast<std::uint32_t>(deltas[i].additions),
-                       static_cast<std::uint32_t>(deltas[i].removals))) {
-        reject_cause_ = core::StallCause::capacity_backpressure;
-        return false;
-      }
-    }
-
-    core::FireCtx ctx{this, tok, ct.id};
-    if (!run_guard(ct.id, ctx)) {
-      reject_cause_ = core::StallCause::guard_rejected;
-      return false;
-    }
-
-    // ---- fire ----
-    const bool removed = from.remove_at(hint, tok);
-    assert(removed && "trigger token not visible in its place");
-    (void)removed;
-    tok->place = core::kNoPlace;
-    tok->state = core::kNoPlace;
-    for (unsigned i = 0; i < nres; ++i) {
-      core::PipelineStage& rs =
-          *place_stage_[static_cast<unsigned>(reservations[i]->place)];
-      rs.remove(reservations[i]);
-      recycle(reservations[i]);
-    }
-
-    run_action(ct.id, ctx);
-
-    for (unsigned i = 0; i < ct.n_out; ++i) {
-      const StaticOutArc a = Traits::kOutArcs[ct.out_begin + i];
-      core::PipelineStage& st = *place_stage_[static_cast<unsigned>(a.place)];
-      if (!a.reservation) {
-        enter_place_in(tok, a.place, st, ct.delay);
-      } else {
-        core::Token* r = acquire_reservation();
-        ++stats_.reservations;
-        enter_place_in(r, a.place, st, ct.delay);
-      }
-    }
-
-    count_fire(ct.id);
-    return true;
+  static const StaticTx& body(std::uint32_t i) { return Traits::kBody[i]; }
+  static std::span<const StaticTx> independent() {
+    return {Traits::kIndependent, Traits::kNumIndependent};
   }
-
-  void process_place_static(core::PlaceId p, core::PipelineStage& st) {
-    // SoA filter scan (see CompiledEngine): only the packed key and ready
-    // arrays are touched until a slot passes; slot indices ride along as
-    // same-index removal hints.
-    const core::TokenStore& ts = st.store();
-    if (stall_place_if_exit_full(p, ts)) return;
-    const std::size_t n = ts.size();
-    const core::TokenStore::Key want =
-        core::TokenStore::key(p, core::TokenKind::instruction);
-    const core::TokenStore::Key* keys = ts.keys();
-    const core::Cycle* ready = ts.ready();
-    scratch_.clear();
-    scratch_idx_.clear();
-    core::soa::for_each_match_ready(keys, ready, n, want, clock_, [&](std::size_t i) {
-      scratch_.push_back(static_cast<core::InstructionToken*>(ts.at(i)));
-      scratch_idx_.push_back(static_cast<std::uint32_t>(i));
-    });
-    if (scratch_.empty()) return;
-
-    std::size_t removed_here = 0;
-    for (std::size_t k = 0; k < scratch_.size(); ++k) {
-      core::InstructionToken* tok = scratch_[k];
-      // Re-check: an earlier firing in this cycle may have consumed, flushed
-      // or even recycled-and-reinjected this token.
-      if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
-      // Same last-candidate-wins attribution as Engine::process_place.
-      reject_cause_ = core::StallCause::no_ready_token;
-      const std::size_t hint =
-          scratch_idx_[k] >= removed_here ? scratch_idx_[k] - removed_here : 0;
-      const StaticCandRange r =
-          Traits::kCell[static_cast<std::size_t>(p) * Traits::kNumTypes +
-                        static_cast<unsigned>(tok->type)];
-      bool fired = false;
-      for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i) {
-        if (try_fire_static(Traits::kBody[i], tok, st, hint)) {
-          fired = true;
-          ++removed_here;
-          break;
-        }
-      }
-      if (!fired) {
-        count_stall(p, tok);
-        if (reject_cause_ == core::StallCause::capacity_backpressure &&
-            stall_rest_if_exits_full(p, k + 1))
-          return;
-      }
-    }
+  static core::PlaceId res_in(std::uint32_t i) { return Traits::kResIn[i]; }
+  static const StaticOutArc& out_arc(std::uint32_t i) { return Traits::kOutArcs[i]; }
+  core::PipelineStage& out_stage(const StaticOutArc& a) const {
+    return *place_stage_[static_cast<unsigned>(a.place)];
   }
-
-  bool independent_enabled_static(const StaticTx& ct) {
-    count_attempt(ct.id);
-    for (unsigned i = 0; i < ct.n_res_in; ++i)
-      if (find_ready_reservation(Traits::kResIn[ct.res_in_begin + i]) == nullptr)
-        return false;
-    for (unsigned i = 0; i < ct.n_out; ++i)
-      if (!place_has_room(Traits::kOutArcs[ct.out_begin + i].place, 1)) return false;
-    core::FireCtx ctx{this, nullptr, ct.id};
-    return run_guard(ct.id, ctx);
+  static core::StageId place_stage_id(core::PlaceId p) {
+    return Traits::kPlaceStage[static_cast<unsigned>(p)];
   }
-
-  void fire_independent_static(const StaticTx& ct) {
-    for (unsigned i = 0; i < ct.n_res_in; ++i) {
-      const core::PlaceId p = Traits::kResIn[ct.res_in_begin + i];
-      core::Token* r = find_ready_reservation(p);
-      core::PipelineStage& rs = *place_stage_[static_cast<unsigned>(p)];
-      rs.remove(r);
-      recycle(r);
-    }
-    core::FireCtx ctx{this, nullptr, ct.id};
-    run_action(ct.id, ctx);
-    for (unsigned i = 0; i < ct.n_out; ++i) {
-      const StaticOutArc a = Traits::kOutArcs[ct.out_begin + i];
-      if (a.reservation) {
-        core::Token* r = acquire_reservation();
-        ++stats_.reservations;
-        enter_place_in(r, a.place, *place_stage_[static_cast<unsigned>(a.place)],
-                       ct.delay);
-      }
-      // Move targets declare capacity intent only; the action emits
-      // instruction tokens itself via emit_instruction().
-    }
-    count_fire(ct.id);
+  core::PipelineStage& move_stage(const StaticTx& ct) const {
+    return *place_stage_[static_cast<unsigned>(ct.move_place)];
+  }
+  // kHasGuard/kHasAction gate the dispatch so a transition without a
+  // delegate costs one constexpr table load, like the other backends' null
+  // check.
+  bool guard(const StaticTx& ct, core::FireCtx& ctx) const {
+    if (!Traits::kHasGuard[static_cast<unsigned>(ct.id)]) return true;
+    return Traits::guard(ct.id, *m_, ctx);
+  }
+  void action(const StaticTx& ct, core::FireCtx& ctx) const {
+    if (Traits::kHasAction[static_cast<unsigned>(ct.id)]) Traits::action(ct.id, *m_, ctx);
   }
 
   // -- staleness verification -------------------------------------------------
@@ -429,11 +236,6 @@ class StaticEngine final : public core::Engine {
   }
 
   Machine* m_ = nullptr;
-  /// Pre-resolved stage of each kProcessOrder entry / two-list stage.
-  std::vector<core::PipelineStage*> order_stage_;
-  std::vector<core::PipelineStage*> two_list_ptrs_;
-  /// Snapshot token pointers + slot indices (removal hints), reused per place.
-  std::vector<std::uint32_t> scratch_idx_;
 };
 
 }  // namespace rcpn::gen

@@ -143,6 +143,28 @@ void ModelBuilderBase::validate() const {
     for (const PlaceHandle& p : t.state_refs)
       check_handle(p, "place", places_.size(), ctx + " reads_state");
 
+    // A firing takes its reservation tokens and its per-stage capacity
+    // deltas into fixed buffers, and two reservation arcs from one place
+    // would both pick the same token.
+    unsigned reservations = 0;
+    for (std::size_t i = 0; i < t.in.size(); ++i) {
+      if (!t.in[i].reservation) continue;
+      ++reservations;
+      for (std::size_t j = 0; j < i; ++j)
+        if (t.in[j].reservation && t.in[j].place.id() == t.in[i].place.id())
+          fail(ctx + ": two reservation input arcs consume from place '" +
+               places_[static_cast<unsigned>(t.in[i].place.id()) - 1].name +
+               "' (one arc per place: each arc takes its own token)");
+    }
+    if (reservations > core::kMaxReservationInputs)
+      fail(ctx + ": " + std::to_string(reservations) +
+           " reservation input arcs, more than the " +
+           std::to_string(core::kMaxReservationInputs) + " a transition may have");
+    if (t.in.size() + t.out.size() > core::kMaxTransitionArcs)
+      fail(ctx + ": " + std::to_string(t.in.size() + t.out.size()) +
+           " arcs, more than the " + std::to_string(core::kMaxTransitionArcs) +
+           " a transition may have");
+
     if (t.independent) {
       if (triggers != 0)
         fail(ctx + ": instruction-independent transitions cannot have trigger arcs");

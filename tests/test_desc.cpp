@@ -316,6 +316,27 @@ TEST(DescZoo, CheckedInModelFilesMatchTheLibrary) {
   }
 }
 
+// Two `consume` arcs from one place would both pick the same reservation
+// token; the loader must refuse the text, naming the transition.
+TEST(DescZoo, DuplicatedConsumeArcFailsToLoadNamingTheTransition) {
+  std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/fig5.rcpn");
+  const std::string arcs = "transition BR.B type=Branch\n  from L2\n  consume L1\n";
+  const std::size_t at = text.find(arcs);
+  ASSERT_NE(at, std::string::npos) << "models/fig5.rcpn changed its BR.B arcs";
+  text.insert(at + arcs.size(), "  consume L1\n");
+  const desc::Description d = desc::parse(text);
+  try {
+    machines::run_description(d,
+                              desc::engine_options(d, opts_for(core::Backend::compiled)));
+    FAIL() << "loader accepted two consume arcs from one place";
+  } catch (const model::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "transition 'BR.B': two reservation input arcs consume from place 'L1'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DescZoo, ZooFilesLoadAndRunEveryMachine) {
   for (const std::string& key : machines::golden_machine_keys()) {
     const desc::Description probe =

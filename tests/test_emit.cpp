@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/options_signature.hpp"
+#include "desc/delegate_registry.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/embed.hpp"
 #include "gen/emit.hpp"
@@ -196,19 +197,23 @@ void machine_action(ClosureMachine& m, core::FireCtx&) { ++m.hits; }
 // Named delegates come in both arities; the emitted dispatch must call each
 // with the arguments it was registered with.
 TEST(Emitter, EmitsTheRegisteredDelegateArity) {
+  desc::DelegateRegistry reg("rcpn::ClosureMachine");
+  reg.bind<ClosureMachine>()
+      .guard<&ctx_only_guard>("rcpn::ctx_only_guard")
+      .action<&machine_action>("rcpn::machine_action");
   core::EngineOptions opts;
   opts.backend = core::Backend::compiled;
   model::Simulator<ClosureMachine> sim(
       "arity", opts,
-      [](model::ModelBuilder<ClosureMachine>& b, ClosureMachine&) {
-        b.emit_machine_type("rcpn::ClosureMachine");
+      [&reg](model::ModelBuilder<ClosureMachine>& b, ClosureMachine&) {
+        b.use_delegates(reg);
         const model::StageHandle s = b.add_stage("S", 1);
         const model::PlaceHandle p = b.add_place("P", s);
         const model::TypeHandle ty = b.add_type("T");
         b.add_transition("t", ty)
             .from(p)
-            .guard_named<&ctx_only_guard>("rcpn::ctx_only_guard")
-            .action_named<&machine_action>("rcpn::machine_action")
+            .guard_ref("rcpn::ctx_only_guard")
+            .action_ref("rcpn::machine_action")
             .to(b.end());
       },
       ClosureMachine{});

@@ -412,6 +412,45 @@ TEST(StageBackpressure, OwnStageAndEndExitsNeverTakeTheStageStall) {
   EXPECT_EQ(ref->stats().transition_fires[static_cast<unsigned>(advance.id())], 40u);
 }
 
+TEST(ArcLimits, TransitionAtTheLimitsFiresInLockstep) {
+  // "wide" uses every slot of the per-firing buffers: kMaxReservationInputs
+  // reservation inputs, and kMaxTransitionArcs arcs in all (trigger, move,
+  // four inputs R0-R3, two reservation outputs Q0/Q1). The independent
+  // sub-net refills R0-R3 and drains Q0/Q1.
+  static_assert(core::kMaxReservationInputs == 4 && core::kMaxTransitionArcs == 8);
+  model::TransitionHandle wide;
+  auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
+    const model::StageHandle s = b.add_stage("S", 1);
+    const model::PlaceHandle p = b.add_place("P", s);
+    // One stage per reservation place: the independent sub-net checks room
+    // per output arc, not per stage.
+    std::vector<model::PlaceHandle> r;
+    for (const char* name : {"R0", "R1", "R2", "R3", "Q0", "Q1"})
+      r.push_back(b.add_place(name, b.add_stage(name, 4)));
+    const model::TypeHandle ty = b.add_type("T");
+    auto refill = b.add_independent_transition("refill");
+    for (int i = 0; i < 4; ++i) refill.emit_reservation(r[i]);
+    b.add_independent_transition("drain").consume_reservation(r[4]).consume_reservation(r[5]);
+    auto t = b.add_transition("wide", ty).from(p).to(b.end());
+    for (int i = 0; i < 4; ++i) t.consume_reservation(r[i]);
+    t.emit_reservation(r[4]).emit_reservation(r[5]);
+    wide = t.handle();
+    m.entry = p;
+    add_pattern_fetch(b, p, 1);
+  };
+  auto make = [&](core::EngineOptions o) {
+    auto sim = std::make_unique<model::Simulator<PatternMachine>>("arc-limits", o, describe);
+    sim->machine().pattern.assign(20, core::TypeId{0});
+    return sim;
+  };
+  auto ref = make(linear_search_opts());
+  auto interp = make({});
+  auto comp = make(compiled_opts());
+  expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 100);
+  EXPECT_EQ(ref->stats().retired, 20u);
+  EXPECT_EQ(ref->stats().transition_fires[static_cast<unsigned>(wide.id())], 20u);
+}
+
 // ---------------------------------------------------------------------------
 // Lowering-pass invariants
 // ---------------------------------------------------------------------------
@@ -485,13 +524,15 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
   EXPECT_EQ(cm.instr_pool_hint, bounded);
   EXPECT_EQ(cm.res_pool_hint, bounded);
 
-  // Pre-resolved stage pointers agree with the net's id mapping everywhere.
-  ASSERT_EQ(cm.order_stage.size(), cm.order.size());
+  // Pre-resolved stage pointers agree with the net's id mapping everywhere:
+  // the loop's per-cycle arrays (built by TableEngine::build()) index the
+  // lowered order and two-list set.
+  ASSERT_EQ(ce->order_stages().size(), cm.order.size());
   for (std::size_t i = 0; i < cm.order.size(); ++i)
-    EXPECT_EQ(cm.order_stage[i], &net.stage_of(cm.order[i])) << "order slot " << i;
-  ASSERT_EQ(cm.two_list_stage_ptrs.size(), cm.two_list_stages.size());
+    EXPECT_EQ(ce->order_stages()[i], &net.stage_of(cm.order[i])) << "order slot " << i;
+  ASSERT_EQ(ce->two_list_stage_ptrs().size(), cm.two_list_stages.size());
   for (std::size_t i = 0; i < cm.two_list_stages.size(); ++i)
-    EXPECT_EQ(cm.two_list_stage_ptrs[i], &net.stage(cm.two_list_stages[i]));
+    EXPECT_EQ(ce->two_list_stage_ptrs()[i], &net.stage(cm.two_list_stages[i]));
   for (const gen::CompiledOutArc& a : cm.out_arcs)
     EXPECT_EQ(a.stage, &net.stage_of(a.place));
 }

@@ -4,6 +4,10 @@
 // pipeline with a legacy hand-wired core::Net — cycle for cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/engine.hpp"
 #include "machines/simple_pipeline.hpp"
 #include "model/model_builder.hpp"
@@ -228,6 +232,68 @@ TEST(ModelValidation, ReservationArcFromDeclaredEndPlace) {
   const PlaceHandle done = b.add_end_place("done");
   b.add_transition("t", ty).from(p).consume_reservation(done).to(b.end());
   expect_build_error(b, "consumes from an end place");
+}
+
+// The engines take a firing's reservation tokens and per-stage capacity
+// deltas into fixed buffers (core::kMaxReservationInputs,
+// core::kMaxTransitionArcs); a model beyond them, or with two reservation
+// arcs from one place (both would pick the same token), must not build.
+TEST(ModelValidation, TwoReservationInputsFromOnePlace) {
+  ModelBuilder<> b("m");
+  const TypeHandle ty = b.add_type("T");
+  const StageHandle s = b.add_stage("S", 1);
+  const StageHandle rs = b.add_stage("RS", 2);
+  const PlaceHandle p = b.add_place("P", s);
+  const PlaceHandle r = b.add_place("R", rs);
+  b.add_transition("t", ty).from(p).consume_reservation(r).consume_reservation(r).to(
+      b.end());
+  expect_build_error(b,
+                     "transition 't': two reservation input arcs consume from place 'R'");
+}
+
+TEST(ModelValidation, TwoReservationInputsFromOnePlaceOnIndependentTransition) {
+  ModelBuilder<> b("m");
+  const StageHandle rs = b.add_stage("RS", 2);
+  const PlaceHandle r = b.add_place("R", rs);
+  b.add_independent_transition("f").consume_reservation(r).consume_reservation(r);
+  expect_build_error(b,
+                     "transition 'f': two reservation input arcs consume from place 'R'");
+}
+
+/// A transition "t" triggered from P with `reservations` reservation inputs
+/// (distinct places) and `emits` reservation outputs, moving its token to end.
+void add_wide_transition(ModelBuilder<>& b, unsigned reservations, unsigned emits) {
+  const TypeHandle ty = b.add_type("T");
+  const StageHandle s = b.add_stage("S", 1);
+  const StageHandle rs = b.add_stage("RS", 16);
+  const PlaceHandle p = b.add_place("P", s);
+  std::vector<PlaceHandle> rp;
+  for (unsigned i = 0; i < std::max(reservations, emits); ++i)
+    rp.push_back(b.add_place("R" + std::to_string(i), rs));
+  auto t = b.add_transition("t", ty);
+  t.from(p).to(b.end());
+  for (unsigned i = 0; i < reservations; ++i) t.consume_reservation(rp[i]);
+  for (unsigned i = 0; i < emits; ++i) t.emit_reservation(rp[i]);
+}
+
+TEST(ModelValidation, MoreReservationInputsThanTheFiringBuffer) {
+  ModelBuilder<> b("m");
+  add_wide_transition(b, core::kMaxReservationInputs + 1, 0);
+  expect_build_error(b, "transition 't': 5 reservation input arcs, more than the 4");
+}
+
+TEST(ModelValidation, MoreArcsThanTheStageDeltaBuffer) {
+  ModelBuilder<> b("m");
+  // trigger + move + 3 inputs + 4 outputs = 9 arcs.
+  add_wide_transition(b, 3, 4);
+  expect_build_error(b, "transition 't': 9 arcs, more than the 8");
+}
+
+TEST(ModelValidation, TransitionAtTheArcLimitsBuilds) {
+  ModelBuilder<> b("m");
+  // trigger + move + 4 inputs + 2 outputs = 8 arcs.
+  add_wide_transition(b, core::kMaxReservationInputs, 2);
+  EXPECT_NO_THROW(b.build());
 }
 
 TEST(ModelValidation, ZeroMaxFiresPerCycle) {
