@@ -18,10 +18,8 @@
 // generated_vs_compiled ratios so the perf trajectory across PRs tracks both
 // devirtualization steps. CI fails if the compiled backend regresses below
 // the interpreted one (aggregate over all workloads).
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -29,32 +27,12 @@
 
 #include "baseline/simplescalar_sim.hpp"
 #include "bench/bench_util.hpp"
-#include "core/soa_scan.hpp"
 #include "gen/generated.hpp"
 #include "machines/strongarm.hpp"
 #include "machines/xscale.hpp"
 #include "util/table.hpp"
 
 using namespace rcpn;
-
-namespace {
-
-/// Interleaved best-of-`k` A/B ratio: alternate the two sides so shared-host
-/// noise hits both evenly, take each side's minimum as its floor. Returns
-/// floor(off) / floor(on) — >1.0 means the optimization wins.
-double ab_ratio(int k, const std::function<double()>& timed_on,
-                const std::function<double()>& timed_off) {
-  double t_on = 0.0, t_off = 0.0;
-  for (int i = 0; i < k; ++i) {
-    const double a = timed_on();
-    const double b = timed_off();
-    if (t_on == 0.0 || a < t_on) t_on = a;
-    if (t_off == 0.0 || b < t_off) t_off = b;
-  }
-  return t_on > 0.0 ? t_off / t_on : 0.0;
-}
-
-}  // namespace
 
 int main() {
   const bool has_gen_sa = gen::find_generated_engine("StrongArm") != nullptr;
@@ -200,123 +178,6 @@ int main() {
     json_rows.push_back(row.render());
   }
 
-  // -- Per-optimization ablations (PR 8) -----------------------------------
-  // Each hot-loop optimization timed against its own off-switch, interleaved
-  // best-of-k (ab_ratio). Workloads are chosen to exercise the regime each
-  // optimization targets; >= 1.0 means the switch pays for itself there.
-  // Returns nullptr when the name is unknown so a renamed workload skips the
-  // ablation loudly (0.0 = not measured) instead of silently measuring
-  // whatever workload happens to be first.
-  const auto find_workload = [](const char* name) -> const workloads::Workload* {
-    for (const workloads::Workload& w : workloads::all())
-      if (w.name == name) return &w;
-    std::fprintf(stderr,
-                 "fig10: workload '%s' not found - skipping ablation "
-                 "(reported as 0.0 / not measured)\n",
-                 name);
-    return nullptr;
-  };
-
-  // (1) Decoded-uop cache — StrongArm compiled on the crc kernel; the off
-  // switch re-decodes and re-binds operands on every fetch.
-  double abl_decode = 0.0;
-  if (const workloads::Workload* wp = find_workload("crc")) {
-    const workloads::Workload& w = *wp;
-    const sys::Program prog = workloads::build(w, bench::scaled(w));
-    machines::StrongArmConfig on_cfg;
-    on_cfg.engine.backend = core::Backend::compiled;
-    machines::StrongArmConfig off_cfg = on_cfg;
-    off_cfg.decode_cache_bypass = true;
-    machines::StrongArmSim on_sim(on_cfg), off_sim(off_cfg);
-    on_sim.run(prog);
-    off_sim.run(prog);
-    abl_decode = ab_ratio(
-        5, [&] { return bench::timed([&] { return on_sim.run(prog); }).second; },
-        [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
-  }
-
-  // (2) SIMD SoA scans — kernel-level at 32 slots with scattered keys, the
-  // wide-pool regime the 8-wide filter targets (below soa::kSimdMinSlots the
-  // kernels fall back to the scalar loop by design, and the in-order ARM
-  // stages live there — see the e2e mcps columns for the whole-machine
-  // picture). In a non-AVX2 build both sides run identical code.
-  double abl_simd = 0.0;
-  {
-    constexpr std::size_t n = 32;
-    std::uint32_t seed = 0x9e3779b9u;
-    std::vector<std::uint32_t> keys(n);
-    std::vector<core::Cycle> ready(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seed = seed * 1664525u + 1013904223u;
-      keys[i] = (seed >> 16) % 5;
-      ready[i] = (seed >> 8) % 3 ? 0 : 1000;
-    }
-    volatile std::uint64_t guard = 0;
-    const auto pass = [&]() -> double {
-      std::uint64_t sink = 0;
-      const auto [unused, secs] = bench::timed([&] {
-        for (int i = 0; i < 400000; ++i) {
-          const auto want = static_cast<std::uint32_t>((i * 7) % 5);
-          sink += core::soa::count_matches(keys.data(), n, want);
-          sink += core::soa::find_match_ready(keys.data(), ready.data(), n, want, 10);
-          core::soa::for_each_match_ready(keys.data(), ready.data(), n, want, 10,
-                                          [&](std::size_t j) { sink += j; });
-        }
-        return 0;
-      });
-      (void)unused;
-      guard = guard + sink;
-      return secs;
-    };
-    abl_simd = ab_ratio(5,
-                        [&] {
-                          core::soa::scalar_override() = false;
-                          return pass();
-                        },
-                        [&] {
-                          core::soa::scalar_override() = true;
-                          const double t = pass();
-                          core::soa::scalar_override() = false;
-                          return t;
-                        });
-  }
-
-  // (3) Quiescence cycle-skipping — StrongArm compiled in a latency-bound
-  // configuration (tiny direct-mapped caches, 1000-cycle miss penalty) on
-  // go, where long miss stalls leave whole idle windows to jump over. The
-  // default caches hit >99% on these kernels and leave nothing to skip, so
-  // measuring there would only measure noise.
-  double abl_quiesce = 0.0, quiesce_frac = 0.0;
-  if (const workloads::Workload* wp = find_workload("go")) {
-    const workloads::Workload& w = *wp;
-    const sys::Program prog = workloads::build(w, bench::scaled(w));
-    machines::StrongArmConfig on_cfg;
-    on_cfg.engine.backend = core::Backend::compiled;
-    on_cfg.mem.icache.size_bytes = 256;
-    on_cfg.mem.icache.assoc = 1;
-    on_cfg.mem.icache.miss_penalty = 1000;
-    on_cfg.mem.dcache.size_bytes = 256;
-    on_cfg.mem.dcache.assoc = 1;
-    on_cfg.mem.dcache.miss_penalty = 1000;
-    machines::StrongArmConfig off_cfg = on_cfg;
-    on_cfg.engine.quiescence_skip = true;
-    machines::StrongArmSim on_sim(on_cfg), off_sim(off_cfg);
-    const machines::RunResult warm = on_sim.run(prog);
-    off_sim.run(prog);
-    quiesce_frac = warm.cycles > 0
-                       ? static_cast<double>(on_sim.engine().stats().quiesced_cycles) /
-                             static_cast<double>(warm.cycles)
-                       : 0.0;
-    abl_quiesce = ab_ratio(
-        5, [&] { return bench::timed([&] { return on_sim.run(prog); }).second; },
-        [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
-  }
-
-  // (4) Profile-guided emission ordering — measured below on the emitted
-  // binaries (gen_sim_strongarm_crc_profile vs the default-ordered twin)
-  // since the ordering is baked in at emission time.
-  double abl_profile = 0.0;
-
   // Freestanding vs generated(linked) artifact: both binaries run their
   // golden workload under the same --time harness (N reps + warm-up), so the
   // ratio isolates what single-TU whole-program compilation buys over the
@@ -368,26 +229,6 @@ int main() {
     fs_ratio_sa = ratio_for("strongarm_crc", fs_mcps_sa);
     fs_ratio_xs = ratio_for("xscale_adpcm", fs_mcps_xs);
 
-    // Ablation (4): profile-ordered emission vs the default-ordered twin of
-    // the same model, same --time harness, interleaved best-of-9 (the win is
-    // a few percent, under the single-sample noise floor of a shared host).
-    {
-      const std::string def_bin = std::string(RCPN_BIN_DIR) + "/gen_sim_strongarm_crc";
-      const std::string prof_bin =
-          std::string(RCPN_BIN_DIR) + "/gen_sim_strongarm_crc_profile";
-      double best_def = 0.0, best_prof = 0.0;
-      for (int attempt = 0; attempt < 9; ++attempt) {
-        const TimeSample td = time_binary(def_bin, 1500);
-        const TimeSample tp = time_binary(prof_bin, 1500);
-        if (td.secs <= 0.0 || tp.secs <= 0.0) {
-          best_prof = 0.0;
-          break;
-        }
-        if (best_def == 0.0 || td.secs < best_def) best_def = td.secs;
-        if (best_prof == 0.0 || tp.secs < best_prof) best_prof = tp.secs;
-      }
-      if (best_prof > 0.0) abl_profile = best_def / best_prof;
-    }
     if (fs_ratio_sa > 0.0 || fs_ratio_xs > 0.0) {
       char fs_sa[16] = "not measured", fs_xs[16] = "not measured";
       if (fs_ratio_sa > 0.0)
@@ -403,18 +244,6 @@ int main() {
     }
   }
 #endif
-
-  std::printf("\nper-optimization ablations (>= 1.0x means the switch pays):\n");
-  std::printf("  decode cache (StrongArm(c), crc, vs bypass):        %.2fx\n", abl_decode);
-  std::printf("  SIMD SoA scans (32-slot kernels, vs scalar, %s): %.2fx\n",
-              core::soa::simd_compiled() ? "avx2" : "portable=identical", abl_simd);
-  std::printf("  quiescence skip (latency-bound go, %.0f%% idle):      %.2fx\n",
-              100.0 * quiesce_frac, abl_quiesce);
-  if (abl_profile > 0.0)
-    std::printf("  profile-guided emission order (gen_sim --time):     %.2fx\n",
-                abl_profile);
-  else
-    std::printf("  profile-guided emission order: binaries not built - skipped\n");
 
   const double ratio_sa = sum_sc / sum_sa;
   const double ratio_xs = sum_xc / sum_xs;
@@ -468,14 +297,6 @@ int main() {
     avg.num("freestanding_vs_generated_xscale", fs_ratio_xs)
         .num("mcps_xscale_freestanding_golden", fs_mcps_xs);
 
-  bench::JsonObj ablations;
-  ablations.num("decode_cache", abl_decode)
-      .num("simd_scan", abl_simd)
-      .str("simd_scan_path", core::soa::simd_compiled() ? "avx2" : "portable")
-      .num("quiescence_skip", abl_quiesce)
-      .num("quiescence_idle_fraction", quiesce_frac);
-  if (abl_profile > 0.0) ablations.num("profile_order", abl_profile);
-
   const std::string json =
       bench::JsonObj()
           .str("figure", "fig10")
@@ -483,7 +304,6 @@ int main() {
           .num("repro_scale", bench::repro_scale())
           .raw("benchmarks", bench::json_array(json_rows))
           .raw("average", avg.render())
-          .raw("ablations", ablations.render())
           .render();
   if (bench::write_file("BENCH_fig10.json", json + "\n"))
     std::printf("\nwrote BENCH_fig10.json\n");

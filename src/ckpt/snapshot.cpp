@@ -124,12 +124,6 @@ std::string net_digest(const core::Net& net) {
 std::string save_snapshot(core::Engine& eng, const MachineIO& io,
                           const std::vector<TraceEvent>& trace) {
   const core::Net& net = eng.net();
-  if (eng.options().quiescence_skip)
-    throw CkptError("model '" + net.name() +
-                    "': cannot snapshot a run with quiescence_skip enabled — "
-                    "resuming re-times the quiesced-cycle accounting, breaking "
-                    "the byte-equality contract; run checkpointable workloads "
-                    "with the skip off");
 
   // Enumerate the live tokens once: per stage, visible list then incoming
   // list, each in store (age) order — the order that defines candidate-scan
@@ -174,7 +168,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
       .field("seq_counter", static_cast<std::uint64_t>(sc.seq_counter))
       .field("last_activity", sc.last_activity_clock)
       .field("activity_snapshot", sc.activity_snapshot)
-      .field("quiesce_blocked", sc.quiesce_blocked)
       .end();
 
   const core::Stats& st = eng.stats();
@@ -185,7 +178,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
       .field("squashed", st.squashed)
       .field("reservations", st.reservations)
       .field("firings", st.firings)
-      .field("quiesced", st.quiesced_cycles)
       .end();
   save_u64_vec(w, "transition_fires", st.transition_fires);
   save_u64_vec(w, "place_stalls", st.place_stalls);
@@ -371,7 +363,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   sc.seq_counter = static_cast<std::uint32_t>(r.get_u64("seq_counter"));
   sc.last_activity_clock = r.get_u64("last_activity");
   sc.activity_snapshot = r.get_u64("activity_snapshot");
-  sc.quiesce_blocked = r.get_bool("quiesce_blocked");
 
   r.next("stats");
   core::Stats& st = eng.stats();
@@ -381,7 +372,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   st.squashed = r.get_u64("squashed");
   st.reservations = r.get_u64("reservations");
   st.firings = r.get_u64("firings");
-  st.quiesced_cycles = r.get_u64("quiesced");
   restore_sized_u64_vec(r, "transition_fires", st.transition_fires);
   restore_sized_u64_vec(r, "place_stalls", st.place_stalls);
   restore_sized_u64_vec(r, "place_stall_causes", st.place_stall_causes);

@@ -67,24 +67,6 @@ struct EngineOptions {
   /// token is then tried on its own: no place takes the stage-level stall
   /// (Engine::stall_place_if_exit_full), in any backend.
   bool linear_search = false;
-  /// Quiescence cycle-skipping: after a cycle in which nothing fired, if
-  /// every stage's incoming buffer is empty and every visible token's ready
-  /// cycle lies strictly in the future, fast-forward the clock (and the cycle
-  /// counter) to the minimum ready cycle instead of idling through the gap
-  /// one step() at a time. Off by default: it is only sound for models whose
-  /// guards do not read the engine clock (the curated machines qualify; the
-  /// fuzz models' clock-window guards do not). Schedule-affecting like the
-  /// flags above — stamped into generated Traits and part of the artifact
-  /// options key. Deadlock-watchdog and run(max_cycles) behavior are
-  /// preserved exactly (the skip never jumps past either horizon).
-  /// Observability interaction (RCPN_OBS + `obs` below): the skipped idle
-  /// cycles never reach finish_cycle's per-cycle probes, so obs::Hub
-  /// occupancy histograms and StageProfile::cycles count *executed* cycles
-  /// only and will total fewer cycles than Stats::cycles by exactly
-  /// Stats::quiesced_cycles. Trace consumers see the gap as a jump in event
-  /// timestamps; nothing can fire inside it by construction, so no events
-  /// are lost — only idle-window occupancy samples are elided.
-  bool quiescence_skip = false;
   /// Stop with an error after this many cycles without any firing while
   /// tokens are still in flight (model deadlock watchdog).
   std::uint64_t deadlock_limit = 100000;
@@ -205,9 +187,7 @@ class Engine {
   // reproduces the recorded per-stage token lists and counters verbatim, so a
   // restored run continues cycle-for-cycle identically to the original.
 
-  /// Every dynamic engine scalar a snapshot must carry (run_horizon_ is
-  /// excluded: snapshots are only taken between run()/step() calls, where it
-  /// is always ~0).
+  /// Every dynamic engine scalar a snapshot must carry.
   struct CkptScalars {
     Cycle clock = 0;
     std::uint64_t in_flight = 0;
@@ -215,11 +195,10 @@ class Engine {
     std::uint64_t last_activity_clock = 0;
     std::uint64_t activity_snapshot = 0;
     bool stopped = false;
-    bool quiesce_blocked = false;
   };
   CkptScalars ckpt_scalars() const {
-    return CkptScalars{clock_,  in_flight_, seq_counter_,   last_activity_clock_,
-                       activity_snapshot_, stopped_,       quiesce_blocked_};
+    return CkptScalars{clock_, in_flight_, seq_counter_, last_activity_clock_,
+                       activity_snapshot_, stopped_};
   }
   void ckpt_restore_scalars(const CkptScalars& s) {
     clock_ = s.clock;
@@ -228,7 +207,6 @@ class Engine {
     last_activity_clock_ = s.last_activity_clock;
     activity_snapshot_ = s.activity_snapshot;
     stopped_ = s.stopped;
-    quiesce_blocked_ = s.quiesce_blocked;
   }
   /// Pooled reservation token for snapshot restore (the caller sets its
   /// fields and re-inserts it with ckpt_insert_token).
@@ -276,6 +254,21 @@ class Engine {
   bool try_fire(const Transition& t, InstructionToken* tok);
   bool independent_enabled(const Transition& t);
   void fire_independent(const Transition& t);
+  /// Output-capacity check of an independent firing: each stage must have
+  /// room for every one of the `n` output arcs that target it, so k arcs into
+  /// one stage need k free slots. `stage_at(i)` is the stage of arc i.
+  /// Checking arc i for itself plus the earlier arcs into its stage is the
+  /// same as checking each stage's total, since has_room is monotone.
+  template <class StageAt>
+  bool outputs_have_room(unsigned n, StageAt stage_at) const {
+    for (unsigned i = 0; i < n; ++i) {
+      const PipelineStage* st = stage_at(i);
+      std::uint32_t need = 1;
+      for (unsigned j = 0; j < i; ++j) need += stage_at(j) == st ? 1u : 0u;
+      if (!st->has_room(need)) return false;
+    }
+    return true;
+  }
   void enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
     enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)], transition_delay);
   }
@@ -345,11 +338,6 @@ class Engine {
   /// Advance the clock, update stats and run the deadlock watchdog (the tail
   /// of Fig 8's main loop, shared by every backend). Returns !stopped_.
   bool finish_cycle();
-  /// The quiescence fast-forward (options_.quiescence_skip): called by
-  /// finish_cycle() after a zero-activity cycle; jumps clock_ and
-  /// stats_.cycles to the earliest cycle at which any token becomes ready,
-  /// capped by the deadlock and run(max_cycles) horizons.
-  void maybe_skip_quiescent();
 
   // -- shared fire/stall accounting -------------------------------------------
   // ONE definition of the hot-loop bookkeeping (and, under RCPN_OBS, of the
@@ -453,16 +441,6 @@ class Engine {
   std::uint32_t seq_counter_ = 0;
   std::uint64_t last_activity_clock_ = 0;
   std::uint64_t activity_snapshot_ = 0;
-  /// Absolute clock value the current run(max_cycles) call must not pass;
-  /// ~0ull outside run(). Caps the quiescence skip so run() executes exactly
-  /// as many cycles as without the knob.
-  Cycle run_horizon_ = ~Cycle{0};
-  /// Latched by maybe_skip_quiescent() when a visible token is ready *now*
-  /// but blocked on a guard or capacity: ready tokens never become un-ready
-  /// without a firing, so the skip scan would keep failing identically every
-  /// idle cycle — stop rescanning until activity resumes. Pure scheduling
-  /// state; never affects results.
-  bool quiesce_blocked_ = false;
   /// Why the most recent candidate evaluation refused to fire; read by
   /// count_stall(). Always maintained (the stall-cause stats are not gated),
   /// one byte-store per failed candidate.

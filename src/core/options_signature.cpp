@@ -18,8 +18,12 @@ constexpr ScheduleOption kScheduleOptions[] = {
     {"two_list_state_refs", &EngineOptions::two_list_state_refs},
     {"force_two_list_all", &EngineOptions::force_two_list_all},
     {"linear_search", &EngineOptions::linear_search},
-    {"quiescence_skip", &EngineOptions::quiescence_skip},
 };
+
+/// Retired flag that signatures written by older builds still carry as a
+/// fourth field. Its off value is a no-op; its on value has no behaviour left
+/// to select.
+constexpr std::string_view kRetiredQuiescenceSkip = "quiescence_skip";
 
 constexpr unsigned kNumScheduleOptions =
     sizeof(kScheduleOptions) / sizeof(kScheduleOptions[0]);
@@ -86,6 +90,13 @@ void apply_options_signature(EngineOptions& options, std::string_view signature)
       throw std::invalid_argument("options signature flag '" + std::string(name) +
                                   "' has value '" + std::string(value) +
                                   "', expected 0 or 1");
+    if (name == kRetiredQuiescenceSkip) {
+      if (value == "1")
+        throw std::invalid_argument(
+            "options signature flag 'quiescence_skip' was retired; only "
+            "quiescence_skip=0 is accepted");
+      continue;
+    }
     bool found = false;
     for (unsigned i = 0; i < kNumScheduleOptions; ++i) {
       if (name != kScheduleOptions[i].name) continue;

@@ -7,7 +7,7 @@
 // table: a new flag is added here once and every encoder picks it up.
 //
 // "Schedule-affecting" means the flag changes which tokens fire when
-// (two-list analysis, candidate-search strategy, quiescence skipping).
+// (two-list analysis, candidate-search strategy).
 // Runtime knobs (backend, deadlock_limit, obs) are deliberately absent.
 #pragma once
 
@@ -49,7 +49,9 @@ std::string options_signature(const EngineOptions& options);
 /// Apply a signature produced by options_signature() onto `options`,
 /// overwriting only the schedule-affecting flags it names. Throws
 /// std::invalid_argument naming the offending token on an unknown flag name
-/// or a value other than 0/1.
+/// or a value other than 0/1. The retired idle-cycle skip flag that older
+/// signatures carry as a fourth field is accepted when 0 (a no-op, so those
+/// signatures still load) and rejected when 1.
 void apply_options_signature(EngineOptions& options, std::string_view signature);
 
 }  // namespace rcpn::core

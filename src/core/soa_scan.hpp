@@ -25,8 +25,8 @@
 //
 // The AVX2 path visits matches in ascending slot order, so results are
 // byte-identical to the scalar reference loops (the four-way differential
-// harness pins this); scalar_override() forces the reference loops at runtime
-// for the fig10 SIMD ablation column.
+// harness pins this). The build option -DRCPN_AVX2=OFF is the off-switch:
+// it compiles the reference loops alone.
 #pragma once
 
 #include <bit>
@@ -40,25 +40,6 @@
 #include "core/token.hpp"
 
 namespace rcpn::core::soa {
-
-/// Bench-only switch (bench_fig10_performance): when true every kernel runs
-/// its scalar reference loop. Results are identical either way — this exists
-/// to measure the win, not to change behavior. In a non-AVX2 build the
-/// kernels already *are* the reference loops and the switch is a no-op.
-inline bool& scalar_override() {
-  static bool v = false;
-  return v;
-}
-
-/// True when the SIMD block path is compiled in (the ablation report
-/// distinguishes a measured win from a by-construction 1.0x).
-inline constexpr bool simd_compiled() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
 
 /// Pool size below which the scalar loop beats the 8-wide filter (measured:
 /// wide-load+movemask overhead vs a few predictable compare branches).
@@ -81,7 +62,7 @@ inline std::uint32_t key_mask8(const std::uint32_t* keys, std::uint32_t want) {
 inline unsigned count_matches(const std::uint32_t* keys, std::size_t n,
                               std::uint32_t want) {
 #if defined(__AVX2__)
-  if (n >= kSimdMinSlots && !scalar_override()) {
+  if (n >= kSimdMinSlots) {
     const std::size_t blocks = n - n % 8;
     unsigned count = 0;
     std::size_t i = 0;
@@ -102,7 +83,7 @@ inline unsigned count_matches(const std::uint32_t* keys, std::size_t n,
 inline std::size_t find_match_ready(const std::uint32_t* keys, const Cycle* ready,
                                     std::size_t n, std::uint32_t want, Cycle now) {
 #if defined(__AVX2__)
-  if (n >= kSimdMinSlots && !scalar_override()) {
+  if (n >= kSimdMinSlots) {
     const std::size_t blocks = n - n % 8;
     std::size_t i = 0;
     for (; i < blocks; i += 8) {
@@ -131,7 +112,7 @@ inline void for_each_match_ready(const std::uint32_t* keys, const Cycle* ready,
                                  std::size_t n, std::uint32_t want, Cycle now,
                                  Fn&& fn) {
 #if defined(__AVX2__)
-  if (n >= kSimdMinSlots && !scalar_override()) {
+  if (n >= kSimdMinSlots) {
     const std::size_t blocks = n - n % 8;
     std::size_t i = 0;
     for (; i < blocks; i += 8) {
@@ -149,14 +130,6 @@ inline void for_each_match_ready(const std::uint32_t* keys, const Cycle* ready,
 #endif
   for (std::size_t i = 0; i < n; ++i)
     if (keys[i] == want && ready[i] <= now) fn(i);
-}
-
-/// Minimum ready cycle over all `n` slots; ~0ull when the pool is empty
-/// (the quiescence-skip scan — every kind counts, reservations included).
-inline Cycle min_ready(const Cycle* ready, std::size_t n) {
-  Cycle best = ~Cycle{0};
-  for (std::size_t i = 0; i < n; ++i) best = ready[i] < best ? ready[i] : best;
-  return best;
 }
 
 }  // namespace rcpn::core::soa

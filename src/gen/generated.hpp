@@ -29,9 +29,8 @@ using GeneratedFactory = std::unique_ptr<core::Engine> (*)(core::Net&,
                                                            core::EngineOptions);
 
 /// The schedule-affecting option bits a generated artifact is emitted under
-/// (two-list analysis, candidate-search strategy and the quiescence-skip
-/// main-loop variant; backend and runtime knobs like deadlock_limit do not
-/// change the tables). Emitted TUs stamp the key as Traits::kOptionsKey;
+/// (two-list analysis and candidate-search strategy; backend and runtime
+/// knobs like deadlock_limit do not change the tables). Emitted TUs stamp the key as Traits::kOptionsKey;
 /// lookups derive the same key from live EngineOptions. Both sides come
 /// from the core::options_bits table (core/options_signature.hpp).
 std::uint32_t generated_options_key(const core::EngineOptions& options);

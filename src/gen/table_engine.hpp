@@ -293,8 +293,10 @@ bool TableEngine<Tables>::fire_independent(const Row& row) {
   count_attempt(row.id);
   for (unsigned i = 0; i < row.n_res_in; ++i)
     if (find_ready_reservation(t.res_in(row.res_in_begin + i)) == nullptr) return false;
-  for (unsigned i = 0; i < row.n_out; ++i)
-    if (!place_has_room(t.out_arc(row.out_begin + i).place, 1)) return false;
+  if (!outputs_have_room(row.n_out, [&](unsigned i) {
+        return &t.out_stage(t.out_arc(row.out_begin + i));
+      }))
+    return false;
   core::FireCtx guard_ctx{this, nullptr, row.id};
   if (!t.guard(row, guard_ctx)) return false;
 

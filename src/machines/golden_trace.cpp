@@ -248,15 +248,13 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       options.two_list_state_refs = false;
     } else if (arg == "--linear-search") {
       options.linear_search = true;
-    } else if (arg == "--quiescence") {
-      options.quiescence_skip = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--golden FILE] [--stats] [--time N]\n"
           "       [--trace-json FILE] [--profile]\n"
           "       [--backend generated|compiled|interpreted]\n"
           "       [--force-two-list-all] [--no-two-list-state-refs]\n"
-          "       [--linear-search] [--quiescence]\n"
+          "       [--linear-search]\n"
           "       [--checkpoint-at T --checkpoint-out FILE]\n"
           "       [--checkpoint-every K --checkpoint-out FILE]\n"
           "       [--restore FILE]\n"

@@ -10,8 +10,7 @@
 //
 //  * format_profile() — the aggregate StageProfile as a text report:
 //    occupancy histograms with mean/max, per-place stall-cause breakdowns and
-//    fires-vs-attempts per transition (the candidate-scan hit rate that feeds
-//    profile-guided emission, ROADMAP #1).
+//    fires-vs-attempts per transition (the candidate-scan hit rate).
 //
 // Both operate purely on the hub, so they work in every build configuration
 // (hand-built hubs in tests) and after the engine is gone.

@@ -133,8 +133,7 @@ struct Meta {
 
 /// Aggregate counters extending core::Stats with the per-structure breakdown
 /// the paper's analysis lacks: where cycles pool up (occupancy), why tokens
-/// wait (stall causes) and what candidate scans cost (fires vs attempts —
-/// the input for profile-guided emission, ROADMAP #1).
+/// wait (stall causes) and what candidate scans cost (fires vs attempts).
 struct StageProfile {
   std::uint64_t cycles = 0;
   /// [stage][occupancy] -> number of cycles the stage ended holding exactly

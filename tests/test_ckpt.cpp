@@ -17,17 +17,14 @@
 // error path: format-version, machine, model-digest, workload and
 // options-signature mismatches must be rejected with a CkptError naming the
 // offender (desc-style), token records naming a bad stage or place, or
-// overflowing a stage, must be rejected before they touch the engine,
-// truncated files must never half-restore, and
-// quiescence-skip runs must be refused at save time (resuming would re-time
-// the quiesced-cycle accounting).
+// overflowing a stage, must be rejected before they touch the engine, and
+// truncated files must never half-restore.
 //
 // The reset oracle (the state-leak sweep): re-running a workload on an
 // already-used simulator — via the machine load path or a bare
 // Engine::reset() — must be byte-identical to a fresh construction. This is
 // what makes restore-into-reused-context sound, and it pins that no hidden
-// state (decode-cache runtime entries, quiesce latches, predictor or syscall
-// residue) survives a reset.
+// state (decode-cache runtime entries, predictor or syscall residue) survives a reset.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -343,24 +340,6 @@ TEST(CkptErrors, DuplicatedTokenRecordOverflowingAStageIsRejected) {
   expect_rejects("fig2", snap, "checkpoint line ");
 }
 
-// Quiescence skipping re-times the quiesced-cycle accounting across a resume
-// boundary, so snapshotting such a run is refused up front — at save, with
-// the reason in the message — rather than producing a checkpoint that
-// silently violates byte equality.
-TEST(CkptErrors, QuiescenceSkipRunsAreRefusedAtSave) {
-  core::EngineOptions o = options_for(core::Backend::interpreted);
-  o.quiescence_skip = true;
-  auto s = machines::make_golden_session("strongarm_crc", o);
-  s->advance(50);
-  try {
-    machines::write_checkpoint(*s);
-    FAIL() << "save accepted a quiescence-skip run";
-  } catch (const ckpt::CkptError& e) {
-    EXPECT_NE(std::string(e.what()).find("quiescence_skip"), std::string::npos)
-        << e.what();
-  }
-}
-
 // -- obs stream equality (probes compiled in only) ----------------------------
 
 // With a Hub attached on both sides, the restored run's event stream and
@@ -455,8 +434,8 @@ TEST(ResetOracle, XScaleRerunEqualsFreshRun) {
 }
 
 // A bare Engine::reset() (no machine load path in between) must scrub every
-// engine-side latch — clock, in-flight accounting, activity snapshots, the
-// quiesce-blocked latch, stats including the stall-cause tables.
+// engine-side latch — clock, in-flight accounting, activity snapshots, stats
+// including the stall-cause tables.
 TEST(ResetOracle, BareEngineResetClearsAllRunState) {
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
     machines::SimplePipeline sim(64, options_for(backend));

@@ -479,46 +479,39 @@ TEST(EngineWatchdog, DeadlockStopsEngine) {
 
 TEST(SoaScan, KernelsMatchNaiveLoopsInBothPaths) {
   // The vectorized scans must be drop-in equivalent to the scalar loops they
-  // replaced — for every length (tail handling) and in both the block path
-  // and the scalar_override ablation path.
+  // replaced — for every length (tail handling), below soa::kSimdMinSlots
+  // (the scalar path) and at or above it (the block path in AVX2 builds).
   std::uint32_t rng = 99;
   auto next = [&] { return rng = rng * 1664525u + 1013904223u; };
-  for (const bool scalar : {false, true}) {
-    soa::scalar_override() = scalar;
-    for (std::size_t n = 0; n <= 40; ++n) {
-      std::vector<TokenStore::Key> keys(n);
-      std::vector<Cycle> ready(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        keys[i] = next() % 3;  // few distinct keys: plenty of matches
-        ready[i] = next() % 4;
-      }
-      const TokenStore::Key want = next() % 3;
-      const Cycle now = next() % 4;
-
-      std::size_t naive_count = 0, naive_first = n;
-      std::vector<std::size_t> naive_visits;
-      Cycle naive_min = ~Cycle{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        if (keys[i] == want) ++naive_count;
-        if (keys[i] == want && ready[i] <= now) {
-          if (naive_first == n) naive_first = i;
-          naive_visits.push_back(i);
-        }
-        naive_min = std::min(naive_min, ready[i]);
-      }
-
-      EXPECT_EQ(soa::count_matches(keys.data(), n, want), naive_count) << n;
-      EXPECT_EQ(soa::find_match_ready(keys.data(), ready.data(), n, want, now),
-                naive_first)
-          << n;
-      std::vector<std::size_t> visits;
-      soa::for_each_match_ready(keys.data(), ready.data(), n, want, now,
-                                [&](std::size_t i) { visits.push_back(i); });
-      EXPECT_EQ(visits, naive_visits) << n;
-      EXPECT_EQ(soa::min_ready(ready.data(), n), naive_min) << n;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<TokenStore::Key> keys(n);
+    std::vector<Cycle> ready(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = next() % 3;  // few distinct keys: plenty of matches
+      ready[i] = next() % 4;
     }
+    const TokenStore::Key want = next() % 3;
+    const Cycle now = next() % 4;
+
+    std::size_t naive_count = 0, naive_first = n;
+    std::vector<std::size_t> naive_visits;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keys[i] == want) ++naive_count;
+      if (keys[i] == want && ready[i] <= now) {
+        if (naive_first == n) naive_first = i;
+        naive_visits.push_back(i);
+      }
+    }
+
+    EXPECT_EQ(soa::count_matches(keys.data(), n, want), naive_count) << n;
+    EXPECT_EQ(soa::find_match_ready(keys.data(), ready.data(), n, want, now),
+              naive_first)
+        << n;
+    std::vector<std::size_t> visits;
+    soa::for_each_match_ready(keys.data(), ready.data(), n, want, now,
+                              [&](std::size_t i) { visits.push_back(i); });
+    EXPECT_EQ(visits, naive_visits) << n;
   }
-  soa::scalar_override() = false;
 }
 
 TEST(TokenStore, HintedRemovalEquivalentToLinearFindUnderChurn) {
@@ -714,67 +707,6 @@ TEST(TokenStore, ClearVisitsVisibleThenIncoming) {
   EXPECT_EQ(seen, (std::vector<Token*>{&a, &b, &c, &d}));
   EXPECT_EQ(ts.occupancy(), 0u);
   EXPECT_EQ(ts.capacity(), 4u);
-}
-
-TEST(EngineQuiescence, SkipFastForwardsIdleCyclesWithoutChangingBehaviour) {
-  // One token parked in a long-residence place and nothing else to do: the
-  // engine is provably idle until the token's ready cycle, so the skip must
-  // engage — and the observable outcome (clock, retire cycle, firings) must
-  // be identical to the unskipped run.
-  auto build = [](Net& net, PlaceId& p1) {
-    const StageId s1 = net.add_stage("L1", 1);
-    const StageId s2 = net.add_stage("L2", 1);
-    p1 = net.add_place("L1", s1);
-    const PlaceId p2 = net.add_place("L2", s2, /*delay=*/40);
-    const TypeId ty = net.add_type("T");
-    net.add_transition("t1", ty).from(p1).to(p2);
-    net.add_transition("t2", ty).from(p2).to(net.end_place());
-    return ty;
-  };
-  Net n1("plain"), n2("skip");
-  PlaceId p1a, p1b;
-  const TypeId ta = build(n1, p1a);
-  const TypeId tb = build(n2, p1b);
-  Engine e1(n1);
-  EngineOptions opt;
-  opt.quiescence_skip = true;
-  Engine e2(n2, opt);
-  e1.build();
-  e2.build();
-  emit(e1, ta, p1a);
-  emit(e2, tb, p1b);
-  e1.run(100);
-  e2.run(100);
-  EXPECT_EQ(e1.stats().retired, 1u);
-  EXPECT_EQ(e2.stats().retired, 1u);
-  EXPECT_EQ(e1.clock(), e2.clock());
-  EXPECT_EQ(e1.stats().cycles, e2.stats().cycles);
-  EXPECT_EQ(e1.stats().firings, e2.stats().firings);
-  EXPECT_EQ(e1.stats().quiesced_cycles, 0u);
-  // The 40-cycle residence of L2 is pure idle time: nearly all of it must
-  // have been fast-forwarded rather than stepped.
-  EXPECT_GT(e2.stats().quiesced_cycles, 30u);
-}
-
-TEST(EngineQuiescence, SkipRespectsRunHorizon) {
-  // run(max_cycles) semantics must be unchanged: a skip may not overshoot
-  // the caller's budget even when the next ready cycle lies beyond it.
-  Net net("horizon");
-  const StageId s1 = net.add_stage("L1", 1);
-  const PlaceId p1 = net.add_place("L1", s1, /*delay=*/100);
-  const TypeId ty = net.add_type("T");
-  net.add_transition("t", ty).from(p1).to(net.end_place());
-  EngineOptions opt;
-  opt.quiescence_skip = true;
-  Engine eng(net, opt);
-  eng.build();
-  emit(eng, ty, p1);
-  const std::uint64_t ran = eng.run(10);
-  EXPECT_EQ(ran, 10u);
-  EXPECT_EQ(eng.clock(), 10u);
-  EXPECT_EQ(eng.stats().retired, 0u);
-  eng.run(200);
-  EXPECT_EQ(eng.stats().retired, 1u);
 }
 
 TEST(EngineSearch, LinearSearchAblationMatchesSortedTable) {

@@ -166,6 +166,34 @@ TEST(DescFormat, OptionsRejectUnknownFlagNamingIt) {
   }
 }
 
+// Descriptions written before the idle-cycle skip was retired carry a fourth
+// options field. Its off value still loads, as the default schedule; its on
+// value names the retired flag.
+TEST(DescFormat, RetiredQuiescenceFlagLoadsWhenOffAndIsRejectedWhenOn) {
+  const core::EngineOptions defaults = opts_for(core::Backend::compiled);
+  const std::string text =
+      desc::to_text(machines::describe_machine("fig2", defaults));
+  const std::string line = "options " + core::options_signature(defaults) + "\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  const auto with_retired = [&](const char* value) {
+    std::string old = text;
+    old.insert(at + line.size() - 1, std::string(",quiescence_skip=") + value);
+    return desc::parse(old);
+  };
+
+  const core::EngineOptions loaded = desc::engine_options(with_retired("0"), defaults);
+  EXPECT_EQ(core::options_signature(loaded), core::options_signature(defaults));
+
+  try {
+    desc::engine_options(with_retired("1"), defaults);
+    FAIL() << "engine_options accepted quiescence_skip=1";
+  } catch (const model::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("quiescence_skip"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DescFormat, UnknownModelFamilyIsRejectedNamingIt) {
   desc::Description d =
       machines::describe_machine("fig2", opts_for(core::Backend::compiled));

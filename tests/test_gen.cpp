@@ -422,8 +422,7 @@ TEST(ArcLimits, TransitionAtTheLimitsFiresInLockstep) {
   auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
     const model::StageHandle s = b.add_stage("S", 1);
     const model::PlaceHandle p = b.add_place("P", s);
-    // One stage per reservation place: the independent sub-net checks room
-    // per output arc, not per stage.
+    // One 4-slot stage per reservation place.
     std::vector<model::PlaceHandle> r;
     for (const char* name : {"R0", "R1", "R2", "R3", "Q0", "Q1"})
       r.push_back(b.add_place(name, b.add_stage(name, 4)));
@@ -449,6 +448,40 @@ TEST(ArcLimits, TransitionAtTheLimitsFiresInLockstep) {
   expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 100);
   EXPECT_EQ(ref->stats().retired, 20u);
   EXPECT_EQ(ref->stats().transition_fires[static_cast<unsigned>(wide.id())], 20u);
+}
+
+TEST(ArcLimits, IndependentOutputsIntoOneStageNeedRoomForAll) {
+  // "refill" emits four reservations into R (one 16-slot stage) per firing;
+  // "use" consumes one per instruction, so R's occupancy climbs by three a
+  // cycle and reaches 13-15 before a refill. Refill may fire only when all
+  // four fit: a per-arc room check would let it fire at 15 and overflow R.
+  model::TransitionHandle refill_h;
+  auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
+    const model::PlaceHandle p = b.add_place("P", b.add_stage("S", 1));
+    const model::PlaceHandle r = b.add_place("R", b.add_stage("R", 16));
+    const model::TypeHandle ty = b.add_type("T");
+    auto refill = b.add_independent_transition("refill");
+    for (int i = 0; i < 4; ++i) refill.emit_reservation(r);
+    refill_h = refill.handle();
+    b.add_transition("use", ty).from(p).consume_reservation(r).to(b.end());
+    m.entry = p;
+    add_pattern_fetch(b, p, 1);
+  };
+  auto make = [&](core::EngineOptions o) {
+    auto sim = std::make_unique<model::Simulator<PatternMachine>>("refill-one-stage", o,
+                                                                  describe);
+    sim->machine().pattern.assign(40, core::TypeId{0});
+    return sim;
+  };
+  auto ref = make(linear_search_opts());
+  auto interp = make({});
+  auto comp = make(compiled_opts());
+  expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 100);
+  EXPECT_EQ(ref->stats().retired, 40u);
+  // Every reservation emitted was either consumed (one per retirement) or
+  // still fits in R.
+  EXPECT_LE(4 * ref->stats().transition_fires[static_cast<unsigned>(refill_h.id())],
+            40u + 16u);
 }
 
 // ---------------------------------------------------------------------------
