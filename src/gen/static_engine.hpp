@@ -16,6 +16,17 @@
 // flush, pools, stats, the watchdog) is the inherited core::Engine code, so
 // all three backends stay cycle-for-cycle equivalent by construction.
 //
+// Because the tables are constants, the policy specializes the loop per
+// place. The Fig 8 place loop is unrolled over Traits::kProcessOrder, so
+// every place's scan is its own code with a constant place id. A place is
+// *type-uniform* (uniform_row() below) when every type's Fig 6 cell holds
+// one simple row and those rows share destination, delay and delegates, as
+// in a pipeline whose instruction classes all take the same latch. Such a
+// place fires every type through one row: the dispatch switches fold to
+// direct delegate calls, and only the transition id that stats and FireCtx
+// see still depends on the type, read from a constexpr per-place table.
+// Other places keep the cell loop.
+//
 // A generated artifact can go stale: the model description may change after
 // the source was emitted. build() therefore *verifies* every table against
 // the engine's own static extraction of the live net and refuses to run on
@@ -23,10 +34,14 @@
 // build failure, never a silently wrong simulation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "core/engine.hpp"
 #include "gen/generated.hpp"
@@ -58,6 +73,36 @@ struct StaticOutArc {
 struct StaticCandRange {
   std::uint32_t begin, count;
 };
+
+/// The body row (an index into Traits::kBody) that every instruction type of
+/// place `p` fires through, or -1 when `p` is not type-uniform: uniform means
+/// each type's Fig 6 cell holds exactly one row, every such row is simple,
+/// and they share the destination place, the delay and the guard and action
+/// symbols, so firing any type through the first type's row runs the same
+/// code. verify_tables() checks all four tables read here against the live
+/// model, so a stale artifact is refused before a wrong collapse can run.
+template <typename Traits>
+constexpr std::int32_t uniform_row(unsigned p) {
+  const auto same = [](const char* a, const char* b) {
+    return std::string_view(a) == std::string_view(b);
+  };
+  std::int32_t u = -1;
+  for (unsigned ty = 0; ty < Traits::kNumTypes; ++ty) {
+    const StaticCandRange r = Traits::kCell[p * Traits::kNumTypes + ty];
+    if (r.count != 1 || !Traits::kBody[r.begin].simple) return -1;
+    if (u < 0) {
+      u = static_cast<std::int32_t>(r.begin);
+      continue;
+    }
+    const StaticTx& a = Traits::kBody[u];
+    const StaticTx& b = Traits::kBody[r.begin];
+    if (a.move_place != b.move_place || a.delay != b.delay ||
+        !same(Traits::kGuardSym[a.id], Traits::kGuardSym[b.id]) ||
+        !same(Traits::kActionSym[a.id], Traits::kActionSym[b.id]))
+      return -1;
+  }
+  return u;
+}
 
 template <typename Traits>
 class StaticEngine final : public TableEngine<StaticEngine<Traits>> {
@@ -107,7 +152,7 @@ class StaticEngine final : public TableEngine<StaticEngine<Traits>> {
   }
   // kHasGuard/kHasAction gate the dispatch so a transition without a
   // delegate costs one constexpr table load, like the other backends' null
-  // check.
+  // check. With a constant row (a uniform place) both fold away.
   bool guard(const StaticTx& ct, core::FireCtx& ctx) const {
     if (!Traits::kHasGuard[static_cast<unsigned>(ct.id)]) return true;
     return Traits::guard(ct.id, *m_, ctx);
@@ -115,6 +160,48 @@ class StaticEngine final : public TableEngine<StaticEngine<Traits>> {
   void action(const StaticTx& ct, core::FireCtx& ctx) const {
     if (Traits::kHasAction[static_cast<unsigned>(ct.id)]) Traits::action(ct.id, *m_, ctx);
   }
+
+  // -- per-place specialization ------------------------------------------------
+
+  template <core::PlaceId P>
+  using PlaceConst = std::integral_constant<core::PlaceId, P>;
+
+  /// The unrolled Fig 8 place loop.
+  void scan_places() {
+    [this]<std::size_t... I>(std::index_sequence<I...>) {
+      (scan_place<I>(), ...);
+    }(std::make_index_sequence<Traits::kNumOrder>{});
+  }
+  template <std::size_t I>
+  void scan_place() {
+    core::PipelineStage& st = *this->order_stages()[I];
+    if (!st.store().empty())
+      this->process_place(PlaceConst<Traits::kProcessOrder[I]>{}, st);
+  }
+
+  /// A uniform place fires through its one row under the type's own id;
+  /// any other place tries its cell as the compiled backend does.
+  template <core::PlaceId P>
+  bool fire_token(PlaceConst<P> place, core::InstructionToken* tok,
+                  core::PipelineStage& from, std::size_t hint) {
+    constexpr std::int32_t u = uniform_row<Traits>(static_cast<unsigned>(P));
+    if constexpr (u < 0) {
+      return Base::fire_token(place, tok, from, hint);
+    } else {
+      return this->try_fire(kTypeTx<P>[static_cast<unsigned>(tok->type)], Traits::kBody[u],
+                            tok, from, hint);
+    }
+  }
+  /// Per type, the transition of place P's one-row cell.
+  template <core::PlaceId P>
+  static constexpr auto kTypeTx = [] {
+    std::array<core::TransitionId, Traits::kNumTypes> ids{};
+    for (unsigned ty = 0; ty < Traits::kNumTypes; ++ty) {
+      const StaticCandRange r = Traits::kCell[static_cast<std::size_t>(P) * Traits::kNumTypes + ty];
+      ids[ty] = Traits::kBody[r.begin].id;
+    }
+    return ids;
+  }();
 
   // -- staleness verification -------------------------------------------------
 

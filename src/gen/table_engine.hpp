@@ -27,7 +27,24 @@
 //   void action(const Row&, FireCtx&);
 //
 // where Row has the fields id, move_place, delay, res_in_begin, out_begin,
-// n_res_in, n_out, max_fires and simple.
+// n_res_in, n_out, max_fires and simple. Two hooks are optional; a policy
+// that declares its own hides the default defined here:
+//
+//   void scan_places();                      // the Fig 8 place loop
+//   bool fire_token(Place, InstructionToken*, PipelineStage&, size_t hint);
+//                                            // one token's candidate dispatch
+//
+// `Place` is a core::PlaceId at run time (the compiled policy) or a
+// std::integral_constant of one (StaticEngine unrolls the place loop over
+// its constexpr process order, so each place's scan is its own code with a
+// constant id). process_place() and try_fire() are written once for both.
+//
+// The place scan has two shapes. A stage that holds one token at scan time
+// (always so for a capacity-1 latch, the in-order pipelines' every stage)
+// tests slot 0's key and ready lanes and fires that token directly, with
+// removal hint 0: nothing fired in this place yet, so the lanes are current
+// and no snapshot or re-check is needed. A wider pool is snapshotted first,
+// since firing mutates it, and each snapshot token is re-checked.
 //
 // Semantics are inherited: token services, two-list promotion, retirement,
 // flush, pools, stats and the watchdog are the shared core::Engine code, so
@@ -70,15 +87,39 @@ class TableEngine : public core::Engine {
     return two_list_ptrs_;
   }
 
+ protected:
+  /// The default place loop: process_order() with its owning stages.
+  void scan_places();
+  /// Scan one non-empty place. `Place` converts to the core::PlaceId. Out
+  /// of line: each place's scan is optimized as a function of its own.
+  template <class Place>
+  [[gnu::noinline]] void process_place(Place place, core::PipelineStage& st);
+  /// The default candidate dispatch: try the token's Fig 6 cell in priority
+  /// order until one row fires.
+  template <class Place>
+  bool fire_token(Place place, core::InstructionToken* tok, core::PipelineStage& from,
+                  std::size_t hint);
+  /// Try one candidate: `row` supplies the shape, destination and delegates,
+  /// `id` the transition counted and handed to FireCtx (the row's own id,
+  /// unless a policy fires several transitions through one shared row).
+  /// `hint` is the trigger token's expected slot index in `from`'s pool (the
+  /// scan position minus the removals this cycle); validated, never trusted.
+  /// Forced inline: with a constant row (a uniform place of StaticEngine)
+  /// its shape test and both delegate dispatches fold to direct calls.
+  template <class Row>
+  [[gnu::always_inline]] inline bool try_fire(core::TransitionId id, const Row& row,
+                                              core::InstructionToken* tok,
+                                              core::PipelineStage& from, std::size_t hint);
+  /// try_fire() of a row that is not simple (reservations, several outputs),
+  /// kept out of line so each inlined latch-to-latch path stays small.
+  template <class Row>
+  [[gnu::noinline]] bool try_fire_general(core::TransitionId id, const Row& row,
+                                          core::InstructionToken* tok,
+                                          core::PipelineStage& from, std::size_t hint);
+
  private:
   Tables& tables() { return static_cast<Tables&>(*this); }
 
-  void process_place(core::PlaceId p, core::PipelineStage& st);
-  /// `hint` is the trigger token's expected slot index in `from`'s pool (the
-  /// scan position minus the removals this cycle); validated, never trusted.
-  template <class Row>
-  bool try_fire(const Row& row, core::InstructionToken* tok, core::PipelineStage& from,
-                std::size_t hint);
   /// Fire an instruction-independent row if it is enabled; false (and
   /// nothing changed) otherwise.
   template <class Row>
@@ -120,13 +161,7 @@ bool TableEngine<Tables>::step() {
 
   for (core::PipelineStage* st : two_list_ptrs_) st->promote_incoming();
 
-  const std::size_t np = order_.size();
-  for (std::size_t i = 0; i < np; ++i) {
-    core::PipelineStage& st = *order_stage_[i];
-    // Hoisted empty check: most places are empty most cycles, and the pool
-    // size is one load away.
-    if (!st.store().empty()) process_place(order_[i], st);
-  }
+  tables().scan_places();
 
   for (const auto& row : tables().independent()) {
     for (std::int32_t f = 0; f < row.max_fires; ++f)
@@ -137,35 +172,53 @@ bool TableEngine<Tables>::step() {
 }
 
 template <class Tables>
-template <class Row>
-bool TableEngine<Tables>::try_fire(const Row& row, core::InstructionToken* tok,
-                                   core::PipelineStage& from, std::size_t hint) {
-  Tables& t = tables();
-  count_attempt(row.id);
-  if (row.simple) {
-    // Latch-to-latch: shape and destination were resolved ahead of time.
-    core::PipelineStage& to = t.move_stage(row);
-    if (&to != &from && !to.has_room(1, 0)) {
-      reject_cause_ = core::StallCause::capacity_backpressure;
-      return false;
-    }
-    core::FireCtx ctx{this, tok, row.id};
-    if (!t.guard(row, ctx)) {
-      reject_cause_ = core::StallCause::guard_rejected;
-      return false;
-    }
-    const bool removed = from.remove_at(hint, tok);
-    assert(removed && "trigger token not visible in its place");
-    (void)removed;
-    tok->place = core::kNoPlace;
-    tok->state = core::kNoPlace;
-    t.action(row, ctx);
-    enter_place_in(tok, row.move_place, to, row.delay);
-    count_fire(row.id);
-    return true;
+void TableEngine<Tables>::scan_places() {
+  const std::size_t np = order_.size();
+  for (std::size_t i = 0; i < np; ++i) {
+    core::PipelineStage& st = *order_stage_[i];
+    // Hoisted empty check: most places are empty most cycles, and the pool
+    // size is one load away.
+    if (!st.store().empty()) process_place(order_[i], st);
   }
+}
 
-  // General shape: Engine::try_fire over the flat arc arrays.
+template <class Tables>
+template <class Row>
+bool TableEngine<Tables>::try_fire(core::TransitionId id, const Row& row,
+                                   core::InstructionToken* tok, core::PipelineStage& from,
+                                   std::size_t hint) {
+  Tables& t = tables();
+  count_attempt(id);
+  if (!row.simple) return try_fire_general(id, row, tok, from, hint);
+  // Latch-to-latch: shape and destination were resolved ahead of time.
+  core::PipelineStage& to = t.move_stage(row);
+  if (&to != &from && !to.has_room(1, 0)) {
+    reject_cause_ = core::StallCause::capacity_backpressure;
+    return false;
+  }
+  core::FireCtx ctx{this, tok, id};
+  if (!t.guard(row, ctx)) {
+    reject_cause_ = core::StallCause::guard_rejected;
+    return false;
+  }
+  const bool removed = from.remove_at(hint, tok);
+  assert(removed && "trigger token not visible in its place");
+  (void)removed;
+  tok->place = core::kNoPlace;
+  tok->state = core::kNoPlace;
+  t.action(row, ctx);
+  enter_place_in(tok, row.move_place, to, row.delay);
+  count_fire(id);
+  return true;
+}
+
+template <class Tables>
+template <class Row>
+bool TableEngine<Tables>::try_fire_general(core::TransitionId id, const Row& row,
+                                           core::InstructionToken* tok,
+                                           core::PipelineStage& from, std::size_t hint) {
+  // Engine::try_fire over the flat arc arrays.
+  Tables& t = tables();
   core::Token* reservations[core::kMaxReservationInputs];
   unsigned nres = 0;
   for (unsigned i = 0; i < row.n_res_in; ++i) {
@@ -203,7 +256,7 @@ bool TableEngine<Tables>::try_fire(const Row& row, core::InstructionToken* tok,
     }
   }
 
-  core::FireCtx ctx{this, tok, row.id};
+  core::FireCtx ctx{this, tok, id};
   if (!t.guard(row, ctx)) {
     reject_cause_ = core::StallCause::guard_rejected;
     return false;
@@ -234,18 +287,34 @@ bool TableEngine<Tables>::try_fire(const Row& row, core::InstructionToken* tok,
     }
   }
 
-  count_fire(row.id);
+  count_fire(id);
   return true;
 }
 
 template <class Tables>
-void TableEngine<Tables>::process_place(core::PlaceId p, core::PipelineStage& st) {
-  // SoA filter scan over the stage's token pool: one packed-key compare and
-  // one ready compare per slot, in age order — tokens are only dereferenced
-  // once they pass (the interpreted engine walks the Token objects instead).
+template <class Place>
+void TableEngine<Tables>::process_place(Place place, core::PipelineStage& st) {
+  const core::PlaceId p = place;
+  // SoA filter over the stage's token pool: one packed-key compare and one
+  // ready compare per slot, in age order — tokens are only dereferenced once
+  // they pass (the interpreted engine walks the Token objects instead).
   const core::TokenStore& ts = st.store();
   if (stall_place_if_exit_full(p, ts)) return;
   const core::TokenStore::Key want = core::TokenStore::key(p, core::TokenKind::instruction);
+  // Same last-candidate-wins attribution as Engine::process_place: each
+  // refused candidate overwrites reject_cause_.
+  if (ts.size() == 1) [[likely]] {
+    // One token: nothing has fired in this place yet, so its lanes are
+    // current and it fires straight from slot 0.
+    if (ts.keys()[0] != want || ts.ready()[0] > clock_) return;
+    auto* tok = static_cast<core::InstructionToken*>(ts.at(0));
+    assert(tok->place == p && !tok->squashed && tok->ready <= clock_ &&
+           "slot lanes disagree with their token");
+    reject_cause_ = core::StallCause::no_ready_token;
+    if (!tables().fire_token(place, tok, st, 0)) count_stall(p, tok);
+    return;
+  }
+
   // Snapshot: firing mutates the pool. Slot indices ride along so each
   // firing can hand remove_visible a same-index hint (snapshot position
   // minus the removals already performed this pass) instead of searching.
@@ -264,26 +333,30 @@ void TableEngine<Tables>::process_place(core::PlaceId p, core::PipelineStage& st
     // Re-check: an earlier firing in this cycle may have consumed, flushed or
     // even recycled-and-reinjected this token.
     if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
-    // Same last-candidate-wins attribution as Engine::process_place.
     reject_cause_ = core::StallCause::no_ready_token;
     const std::size_t hint =
         scratch_idx_[k] >= removed_here ? scratch_idx_[k] - removed_here : 0;
-    const auto r = tables().cell(p, tok->type);
-    bool fired = false;
-    for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i) {
-      if (try_fire(tables().body(i), tok, st, hint)) {
-        fired = true;
-        ++removed_here;
-        break;
-      }
+    if (tables().fire_token(place, tok, st, hint)) {
+      ++removed_here;
+      continue;
     }
-    if (!fired) {
-      count_stall(p, tok);
-      if (reject_cause_ == core::StallCause::capacity_backpressure &&
-          stall_rest_if_exits_full(p, k + 1))
-        return;
-    }
+    count_stall(p, tok);
+    if (reject_cause_ == core::StallCause::capacity_backpressure &&
+        stall_rest_if_exits_full(p, k + 1))
+      return;
   }
+}
+
+template <class Tables>
+template <class Place>
+bool TableEngine<Tables>::fire_token(Place place, core::InstructionToken* tok,
+                                     core::PipelineStage& from, std::size_t hint) {
+  const auto r = tables().cell(place, tok->type);
+  for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i) {
+    const auto& row = tables().body(i);
+    if (try_fire(row.id, row, tok, from, hint)) return true;
+  }
+  return false;
 }
 
 template <class Tables>

@@ -126,8 +126,9 @@ TEST_P(Emitter, EmitsAblationVariantSchedules) {
   const Emitted all = emit_machine(key, two_list_all);
   EXPECT_NE(all.simulator_no_main.find(key_stamp(two_list_all)), std::string::npos);
   EXPECT_NE(all.simulator_no_main.find("force_two_list_all=1"), std::string::npos);
-  if (!all.freestanding.empty())
+  if (!all.freestanding.empty()) {
     EXPECT_NE(all.freestanding.find(key_stamp(two_list_all)), std::string::npos);
+  }
   EXPECT_NE(all.simulator_no_main, def.simulator_no_main)
       << key << ": variant schedule emitted identical to the default";
   EXPECT_EQ(all.simulator_no_main, emit_machine(key, two_list_all).simulator_no_main)

@@ -237,7 +237,51 @@ TEST(FuzzLockstep, Seeds89To128) { run_seed_range(89, 128); }
 // and trace-diffed against the interpreted backend through the emitted
 // binary's own --golden first-diverging-cycle reporting. The seeds cross the
 // option mix of fuzz_options_for, so ablation-variant emission is fuzzed too.
+//
+// The generated engine fires a type-uniform place (gen::uniform_row) through
+// one shared row while each type keeps its own FireCtx::transition. Seeds
+// 1-8 have no such place with two types, so the shard adds seed 3129: at its
+// P3 both types share fuzz_action_flush with different victim stages, and a
+// flush handed the wrong type's transition would squash other tokens.
 // ---------------------------------------------------------------------------
+
+/// Places where every type fires one simple row sharing destination, delay
+/// and delegates, counted only when a shared delegate reads a per-transition
+/// parameter that differs between the types.
+unsigned id_sensitive_uniform_places(model::Simulator<FuzzMachine>& sim) {
+  const core::Net& net = sim.net();
+  const core::Engine& eng = sim.engine();
+  const auto param = [](const std::vector<std::int32_t>& v, core::TransitionId t) {
+    return static_cast<std::size_t>(t) < v.size() ? v[static_cast<std::size_t>(t)] : 0;
+  };
+  unsigned found = 0;
+  for (unsigned p = 0; p < net.num_places(); ++p) {
+    const core::Transition* first = nullptr;
+    bool uniform = net.num_types() > 1, params_differ = false;
+    for (unsigned ty = 0; uniform && ty < net.num_types(); ++ty) {
+      const auto& cands =
+          eng.candidates(static_cast<core::PlaceId>(p), static_cast<core::TypeId>(ty));
+      const core::Transition* t = cands.size() == 1 ? cands[0] : nullptr;
+      uniform = t != nullptr && t->inputs().size() == 1 && t->outputs().size() == 1 &&
+                t->outputs()[0].emit == core::ArcEmit::move;
+      if (!uniform || first == nullptr) {
+        first = t;
+        continue;
+      }
+      uniform = t->outputs()[0].place == first->outputs()[0].place &&
+                t->delay() == first->delay() &&
+                t->guard_symbol() == first->guard_symbol() &&
+                t->action_symbol() == first->action_symbol();
+      params_differ |=
+          param(sim.machine().guard_param, t->id()) !=
+              param(sim.machine().guard_param, first->id()) ||
+          param(sim.machine().action_param, t->id()) !=
+              param(sim.machine().action_param, first->id());
+    }
+    if (uniform && params_differ) ++found;
+  }
+  return found;
+}
 
 int run_command(const std::string& cmd) {
   const int status = std::system(cmd.c_str());
@@ -259,8 +303,8 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
   const std::string dir = ::testing::TempDir() + "fuzz_freestanding";
   ASSERT_EQ(run_command("mkdir -p " + dir), 0);
 
-  unsigned emitted_variants = 0;
-  for (unsigned seed = 1; seed <= 8; ++seed) {
+  unsigned emitted_variants = 0, id_sensitive = 0;
+  for (const unsigned seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 3129u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const std::string name = machines::fuzz_model_name(seed);
     const core::EngineOptions opts =
@@ -275,6 +319,7 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
         },
         FuzzMachine{});
     auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
+    id_sensitive += id_sensitive_uniform_places(sim);
     gen::EmitSimOptions fs;
     fs.mode = gen::EmitMode::freestanding;
     fs.engine_options = opts;
@@ -311,6 +356,8 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
   }
   EXPECT_GT(emitted_variants, 0u)
       << "the shard never emitted an ablation-variant schedule";
+  EXPECT_GT(id_sensitive, 0u) << "the shard has no type-uniform place whose shared "
+                                 "delegate reads FireCtx::transition";
 #endif
 }
 

@@ -14,6 +14,7 @@
 
 #include "gen/compiled_engine.hpp"
 #include "gen/emit.hpp"
+#include "gen/static_engine.hpp"
 #include "machines/fig5_processor.hpp"
 #include "machines/simple_pipeline.hpp"
 #include "machines/strongarm.hpp"
@@ -482,6 +483,167 @@ TEST(ArcLimits, IndependentOutputsIntoOneStageNeedRoomForAll) {
   // still fits in R.
   EXPECT_LE(4 * ref->stats().transition_fires[static_cast<unsigned>(refill_h.id())],
             40u + 16u);
+}
+
+// ---------------------------------------------------------------------------
+// The one-slot scan path: a stage that holds one token at scan time is read
+// straight from slot 0 (gen::TableEngine::process_place). Each net below
+// keeps its latches at capacity 1 and runs in lockstep against the
+// linear-search reference, full Stats included.
+// ---------------------------------------------------------------------------
+
+TEST(OneSlotScan, SharedLatchHoldsTheOtherPlacesTokenNotYetReady) {
+  // One capacity-1 stage S holds two places: P and, after it, Q with a
+  // three-cycle residence. While Q's token waits in the one slot, Q's scan
+  // finds a token that is not yet ready and P's scan finds a token of
+  // another place; neither may fire or count a stall.
+  model::PlaceHandle p, q;
+  auto describe = [&](model::ModelBuilder<PatternMachine>& b, PatternMachine& m) {
+    const model::StageHandle s = b.add_stage("S", 1);
+    p = b.add_place("P", s);
+    q = b.add_place("Q", s, /*delay=*/3);
+    const model::TypeHandle ty = b.add_type("T");
+    b.add_transition("step", ty).from(p).to(q);
+    b.add_transition("leave", ty).from(q).to(b.end());
+    m.entry = p;
+    add_pattern_fetch(b, p, 1);
+  };
+  auto make = [&](core::EngineOptions o) {
+    auto sim = std::make_unique<model::Simulator<PatternMachine>>("one-slot-shared", o,
+                                                                  describe);
+    sim->machine().pattern.assign(10, core::TypeId{0});
+    return sim;
+  };
+  auto ref = make(linear_search_opts());
+  auto interp = make({});
+  auto comp = make(compiled_opts());
+  expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 80);
+  const core::Stats& s = ref->stats();
+  EXPECT_EQ(s.retired, 10u);
+  EXPECT_EQ(s.place_stalls[static_cast<unsigned>(core::PlaceId{p})], 0u);
+  EXPECT_EQ(s.place_stalls[static_cast<unsigned>(core::PlaceId{q})], 0u);
+}
+
+/// A - B - end, both capacity 1. B's exit guard fires only every fourth
+/// cycle. Type U has no transition at all, so no place gets a sole exit
+/// stage and A's capacity stalls are counted by the per-token scan, not by
+/// the stage-level shortcut.
+struct StallNet {
+  model::PlaceHandle a, b;
+  model::StageHandle b_stage;
+
+  void describe(model::ModelBuilder<PatternMachine>& mb, PatternMachine& m) {
+    const model::StageHandle sa = mb.add_stage("A", 1);
+    b_stage = mb.add_stage("B", 1);
+    a = mb.add_place("A", sa);
+    b = mb.add_place("B", b_stage);
+    const model::TypeHandle t = mb.add_type("T");
+    mb.add_type("U");
+    mb.add_transition("advance", t).from(a).to(b);
+    mb.add_transition("leave", t)
+        .from(b)
+        .guard([](PatternMachine&, core::FireCtx& ctx) {
+          return ctx.engine->clock() % 4 == 0;
+        })
+        .to(mb.end());
+    m.entry = a;
+    add_pattern_fetch(mb, a, 1);
+  }
+
+  std::unique_ptr<model::Simulator<PatternMachine>> make(core::EngineOptions o) {
+    auto sim = std::make_unique<model::Simulator<PatternMachine>>(
+        "one-slot-stalls", o,
+        [this](model::ModelBuilder<PatternMachine>& mb, PatternMachine& m) {
+          describe(mb, m);
+        });
+    sim->machine().pattern.assign(12, core::TypeId{0});
+    return sim;
+  }
+
+  /// Lockstep over 80 cycles; then B's lone token was refused by its guard,
+  /// and A's by B's full slot, each under its own cause only.
+  void run_and_check(core::EngineOptions base) {
+    core::EngineOptions ref_opts = base;
+    ref_opts.linear_search = true;
+    core::EngineOptions comp_opts = base;
+    comp_opts.backend = core::Backend::compiled;
+    auto ref = make(ref_opts);
+    auto interp = make(base);
+    auto comp = make(comp_opts);
+    EXPECT_EQ(interp->engine().sole_exit_stage(a), nullptr);
+    expect_lockstep<3>({ref.get(), interp.get(), comp.get()}, 80);
+
+    const core::Stats& s = ref->stats();
+    EXPECT_EQ(s.retired, 12u);
+    EXPECT_GT(cause_count(s, b, core::StallCause::guard_rejected), 0u);
+    EXPECT_EQ(cause_count(s, b, core::StallCause::capacity_backpressure), 0u);
+    EXPECT_GT(cause_count(s, a, core::StallCause::capacity_backpressure), 0u);
+    EXPECT_EQ(cause_count(s, a, core::StallCause::guard_rejected), 0u);
+  }
+};
+
+TEST(OneSlotScan, GuardAndCapacityStallsOfASingleToken) {
+  StallNet net;
+  net.run_and_check({});
+}
+
+TEST(OneSlotScan, TwoListLatch) {
+  // The same net with every stage double-buffered: a token entering a latch
+  // waits in its incoming lane and becomes visible to the scan one cycle
+  // later.
+  StallNet net;
+  core::EngineOptions o;
+  o.force_two_list_all = true;
+  auto probe = net.make(o);
+  probe->engine().build();
+  ASSERT_TRUE(probe->engine().stage_is_two_list(net.b_stage));
+  net.run_and_check(o);
+}
+
+// ---------------------------------------------------------------------------
+// gen::uniform_row: the generated backend's test for a place that fires
+// every instruction type through one shared row.
+// ---------------------------------------------------------------------------
+
+enum class Flaw { none, guard, action, destination, delay, empty_cell, two_rows, not_simple };
+
+constexpr gen::StaticTx hand_row(std::int16_t id, std::int16_t to, std::uint32_t delay,
+                                 bool simple) {
+  return {id, to, delay, 0, 0, 0, 1, 1, simple};
+}
+
+/// Equal to "g", at another address: symbols compare as strings.
+constexpr char kGuardCopy[] = "g";
+
+/// Place 0 with two types; each flaw spoils type 1's cell. Body row 0 is
+/// type 0's, row 1 type 1's, and row 2 a second row of type 1 (two_rows).
+template <Flaw F>
+struct HandTraits {
+  static constexpr unsigned kNumTypes = 2;
+  static constexpr gen::StaticCandRange kCell[kNumTypes] = {
+      {0, 1}, {1, F == Flaw::empty_cell ? 0u : F == Flaw::two_rows ? 2u : 1u}};
+  static constexpr gen::StaticTx kBody[3] = {
+      hand_row(0, 1, 0, true),
+      hand_row(1, F == Flaw::destination ? 2 : 1, F == Flaw::delay ? 1u : 0u,
+               F != Flaw::not_simple),
+      hand_row(2, 1, 0, true)};
+  static constexpr const char* kGuardSym[3] = {"g", F == Flaw::guard ? "h" : kGuardCopy, "g"};
+  static constexpr const char* kActionSym[3] = {"a", F == Flaw::action ? "b" : "a", "a"};
+};
+
+TEST(UniformPlace, DetectorAcceptsOnlyOneSharedSimpleRowPerType) {
+  constexpr std::int32_t uniform = gen::uniform_row<HandTraits<Flaw::none>>(0);
+  EXPECT_EQ(uniform, 0);
+  constexpr std::int32_t rejected[] = {
+      gen::uniform_row<HandTraits<Flaw::guard>>(0),
+      gen::uniform_row<HandTraits<Flaw::action>>(0),
+      gen::uniform_row<HandTraits<Flaw::destination>>(0),
+      gen::uniform_row<HandTraits<Flaw::delay>>(0),
+      gen::uniform_row<HandTraits<Flaw::empty_cell>>(0),
+      gen::uniform_row<HandTraits<Flaw::two_rows>>(0),
+      gen::uniform_row<HandTraits<Flaw::not_simple>>(0)};
+  for (std::size_t i = 0; i < std::size(rejected); ++i)
+    EXPECT_EQ(rejected[i], -1) << "flaw " << i + 1;
 }
 
 // ---------------------------------------------------------------------------
